@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="core/worker count for --engine multicore|parallel "
-        "(default 2); rejected for single-rank engines",
+        "(default 2); the single-rank engines accept only 1",
     )
     runp.add_argument(
         "--fault-plan", default=None, metavar="PLAN",
@@ -232,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="higher runs first; ties run in file order")
     smt.add_argument("--deadline", type=float, default=None,
                      metavar="SECONDS",
-                     help="cancel the job past this wall-clock budget "
-                     "(--engine parallel only)")
+                     help="cancel the job at the first barrier past "
+                     "this wall-clock budget")
     smt.add_argument("--no-cache", action="store_true",
                      help="opt this job out of the result cache")
     dgrp = smt.add_mutually_exclusive_group()
@@ -365,16 +365,8 @@ def _validate_run_args(
             "--directed applies to --edge-list input; "
             "surrogate recipes fix their own orientation"
         )
-    if args.workers is not None:
-        if args.engine not in ("multicore", "parallel"):
-            parser.error(
-                f"--workers requires --engine multicore or parallel "
-                f"(got --engine {args.engine})"
-            )
-        if args.workers < 1:
-            parser.error("--workers must be >= 1")
-        if args.cores != 1:
-            parser.error("--cores and --workers are mutually exclusive")
+    if args.workers is not None and args.cores != 1:
+        parser.error("--cores and --workers are mutually exclusive")
     if args.cores != 1 and args.engine != "sequential":
         parser.error(
             f"--cores only applies to the default engine; "
@@ -382,40 +374,24 @@ def _validate_run_args(
         )
     if args.cores < 1:
         parser.error("--cores must be >= 1")
-    if args.engine != "parallel":
-        if args.fault_plan is not None:
-            parser.error(
-                f"--fault-plan requires --engine parallel "
-                f"(got --engine {args.engine})"
-            )
-        if args.worker_timeout is not None:
-            parser.error(
-                f"--worker-timeout requires --engine parallel "
-                f"(got --engine {args.engine})"
-            )
-    if args.worker_timeout is not None and args.worker_timeout <= 0:
-        parser.error("--worker-timeout must be positive seconds")
-    from repro.core.accumulate import ACCUMULATORS
+    from repro.core.infomap import validate_engine_args
 
-    if args.accumulator not in ACCUMULATORS:
-        parser.error(
-            f"--accumulator: unknown strategy {args.accumulator!r}; "
-            f"valid choices: {', '.join(ACCUMULATORS)}"
+    try:
+        validate_engine_args(
+            args.engine,
+            workers=args.workers,
+            accumulator=args.accumulator,
+            fault_plan=args.fault_plan,
+            worker_timeout=args.worker_timeout,
         )
-    if args.accumulator != "reduceat" and args.engine not in (
-        "vectorized", "multicore", "parallel"
-    ):
-        parser.error(
-            f"--accumulator applies to the batched engines "
-            f"(vectorized/multicore/parallel), not --engine {args.engine}"
-        )
-    if args.fault_plan is not None:
-        from repro.core.faults import FaultPlan
-
-        try:
-            FaultPlan.parse(args.fault_plan, workers=args.workers or 2)
-        except ValueError as exc:
-            parser.error(f"--fault-plan: {exc}")
+    except ValueError as exc:
+        given = [("--engine", args.engine), ("--workers", args.workers),
+                 ("--fault-plan", args.fault_plan),
+                 ("--worker-timeout", args.worker_timeout)]
+        if args.accumulator != "reduceat":
+            given.append(("--accumulator", args.accumulator))
+        flags = " ".join(f"{k} {v}" for k, v in given if v is not None)
+        parser.error(f"{flags}: {exc}")
 
 
 def _add_obs_arguments(p: argparse.ArgumentParser, trace: bool = True) -> None:
@@ -568,18 +544,11 @@ def _run_on_graph(
         if args.backend != "plain":
             print(f"--engine {args.engine} has no hardware accounting; "
                   "ignoring --backend", file=sys.stderr)
-        if args.engine == "vectorized":
-            r = run_infomap(
-                graph, engine="vectorized", tau=args.tau,
-                accumulator=args.accumulator,
-            )
-        else:
-            r = run_infomap(
-                graph, engine="parallel", workers=args.workers, tau=args.tau,
-                fault_plan=args.fault_plan,
-                worker_timeout=args.worker_timeout,
-                accumulator=args.accumulator,
-            )
+        r = run_infomap(
+            graph, engine=args.engine, workers=args.workers, tau=args.tau,
+            fault_plan=args.fault_plan, worker_timeout=args.worker_timeout,
+            accumulator=args.accumulator,
+        )
         print(r.summary())
         if args.fault_plan is not None:
             injected = sum(r.faults_injected.values())

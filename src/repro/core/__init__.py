@@ -12,23 +12,26 @@ Mirrors the four HyPC-Map kernels (Section II-C):
 
 Engines:
 
-* :func:`repro.core.infomap.run_infomap` — the single entry point:
-  sequential instrumented engine (one simulated core, full hardware
-  accounting) by default, or the batched numpy fast path via
-  ``engine="vectorized"``;
+* :func:`repro.core.infomap.run_infomap` — the single entry point and
+  the only engine dispatch (the CLI, the job service and
+  :mod:`repro.core.dynamic` all call it, behind
+  :func:`~repro.core.infomap.validate_engine_args`): the sequential
+  instrumented engine (one simulated core, full hardware accounting)
+  by default, or one of the batched engines below;
 * :func:`repro.core.vectorized.run_infomap_vectorized` — the batched
-  engine behind ``engine="vectorized"``: whole-sweep segment-sum
-  accumulation with a reusable :class:`~repro.core.vectorized.Workspace`
-  (no hardware accounting);
+  engine behind ``engine="vectorized"``: the shared BSP schedule at
+  ``P=1`` on one in-process shard, every vertex swept every pass, with
+  whole-sweep segment-sum accumulation in a reusable
+  :class:`~repro.core.vectorized.Workspace` (no hardware accounting);
 * :func:`repro.core.multicore.run_infomap_multicore` — the HyPC-Map-style
   simulated multicore engine behind Figs 7/9/10/11;
 * :func:`repro.core.parallel.run_infomap_parallel` — the real
   process-parallel engine (multiprocessing + shared-memory arenas),
   bit-identical to the simulated engine at equal worker count/seed.
 
-The two multicore engines share one deterministic barrier-synchronous
-schedule, :mod:`repro.core.bsp` (propose per shard, commit behind the
-barrier) — only where the propose executes differs.
+All three batched engines run one deterministic barrier-synchronous
+multilevel driver, :mod:`repro.core.bsp` (propose per shard, commit
+behind the barrier) — only where the propose executes differs.
 """
 
 from repro.core.flow import FlowNetwork, pagerank

@@ -1,8 +1,10 @@
-"""Shared barrier-synchronous (BSP) Infomap schedule.
+"""Shared barrier-synchronous (BSP) Infomap schedule — the one multilevel driver.
 
-The simulated multicore engine (:mod:`repro.core.multicore`) and the real
-process-parallel engine (:mod:`repro.core.parallel`) execute the *same*
-deterministic two-phase schedule, defined once here:
+Every batched engine executes the *same* deterministic two-phase
+schedule, defined once here: the vectorized engine
+(:mod:`repro.core.vectorized`, one in-process shard, every vertex swept
+every pass), the simulated multicore engine (:mod:`repro.core.multicore`)
+and the real process-parallel engine (:mod:`repro.core.parallel`):
 
 1. **propose** — vertices are sharded across ``P`` cores by arc count
    (:func:`edge_balanced_blocks`); each core computes the best improving
@@ -25,7 +27,8 @@ engines running this schedule produce **bit-identical partitions** at
 equal core counts and seeds.  ``tests/test_engine_conformance.py``
 enforces exactly that for ``parallel(P=k)`` vs ``multicore(P=k)``.
 
-Engines participate through a :class:`ProposeBackend`: the multicore
+Engines participate through a :class:`ProposeBackend`: the vectorized
+engine proposes in-process (:class:`InprocessSweep`); the multicore
 engine adds a per-core hardware-accounting sweep (the paper's simulated
 counters) around the authoritative propose; the parallel engine ships the
 propose to worker processes.  The commit/merge itself is driver-side and
@@ -51,7 +54,9 @@ from repro.util.entropy import plogp_array
 from repro.util.rng import make_rng
 
 __all__ = [
+    "DeadlineExceeded",
     "ProposeBackend",
+    "InprocessSweep",
     "BSPOutcome",
     "BSPPassRecord",
     "edge_balanced_blocks",
@@ -73,6 +78,8 @@ def edge_balanced_blocks(net: FlowNetwork, num_cores: int) -> list[np.ndarray]:
     chosen on the cumulative out-degree so every core sweeps a similar
     number of arcs.
     """
+    if num_cores == 1:
+        return [np.arange(net.num_vertices, dtype=np.int64)]
     arcs = np.diff(net.indptr)
     cum = np.cumsum(arcs)
     total = cum[-1] if len(cum) else 0
@@ -124,10 +131,24 @@ def split_active_by_block(
     return out
 
 
+class DeadlineExceeded(RuntimeError):
+    """The run's job deadline lapsed before the schedule finished.
+
+    Raised master-side by :func:`run_bsp_infomap` at a barrier (and by
+    the parallel engine's supervision loop at a poll quantum), so the run
+    unwinds at a barrier boundary.  No recovery is attempted — the caller
+    decides what to do with the cancelled run, which is how the job
+    service cancels a job on any batched engine.
+    """
+
+
 def commit_proposals(
     ws: Workspace,
     net: FlowNetwork,
     module: np.ndarray,
+    enter: np.ndarray,
+    exit_: np.ndarray,
+    flow: np.ndarray,
     length: float,
     verts: np.ndarray,
     targets: np.ndarray,
@@ -139,7 +160,8 @@ def commit_proposals(
     accepts the batch iff the codelength strictly improved; otherwise the
     proposal set is halved with the seeded RNG and retried (at most
     :data:`BACKOFF_TRIES` times).  Returns the (possibly unchanged) state
-    ``(module, enter, exit, flow, length, applied_verts)``.
+    ``(module, enter, exit, flow, length, applied_verts)`` — after a
+    failed commit, the caller's own ``(enter, exit, flow)`` unchanged.
 
     This is a pure function of its inputs plus the RNG stream — the
     determinism anchor of the whole schedule.
@@ -158,7 +180,6 @@ def commit_proposals(
         accepted &= keep
         if not np.any(accepted):
             break
-    enter, exit_, flow = ws.module_state(module, n)
     return module, enter, exit_, flow, length, np.empty(0, dtype=np.int64)
 
 
@@ -272,6 +293,50 @@ class ProposeBackend:
         pass
 
 
+class InprocessSweep(ProposeBackend):
+    """The in-process backend: every shard's batched sweep, in order.
+
+    What ``engine="vectorized"`` runs on (one shard, no accounting), and
+    the propose the simulated-multicore backend extends with its per-core
+    hardware accounting (:meth:`account`).  Sweeps go through the
+    driver's own :class:`~repro.core.vectorized.Workspace`; a single
+    shard holding the whole level (shards hold distinct vertices) is
+    swept unrestricted (``verts=None``), which returns the same rows
+    without the per-pair shard filter.
+    """
+
+    engine = "vectorized"
+    ws: Workspace | None = None
+
+    def begin_level(self, net, level, blocks, ws) -> None:
+        self.ws = ws
+
+    def account(self, core: int, shard: np.ndarray) -> None:
+        """Per-shard hook run before the shard's sweep (no-op here)."""
+
+    def propose(self, shards, module, enter, exit_, flow):
+        if len(shards) == 1 and len(shards[0][1]) == self.ws.n:
+            # the whole level on one shard (the vectorized engine's cold
+            # pass): sweep it unrestricted, nothing to merge
+            self.account(*shards[0])
+            v, t, _ = self.ws.best_moves(module, enter, exit_, flow)
+            return v, t
+        verts_parts: list[np.ndarray] = []
+        targ_parts: list[np.ndarray] = []
+        for p, shard in shards:
+            if len(shard) == 0:
+                continue
+            self.account(p, shard)
+            v, t, _ = self.ws.best_moves(
+                module, enter, exit_, flow, verts=shard
+            )
+            verts_parts.append(v)
+            targ_parts.append(t)
+        if not verts_parts:
+            return np.empty(0, np.int64), np.empty(0, np.int64)
+        return np.concatenate(verts_parts), np.concatenate(targ_parts)
+
+
 @dataclass(frozen=True)
 class BSPPassRecord:
     """One barrier-synchronous pass (telemetry-grade record)."""
@@ -300,6 +365,9 @@ class BSPOutcome:
     passes: list[BSPPassRecord] = field(default_factory=list)
     telemetry: object = None
     pagerank_iterations: int = 0
+    #: bounded-table pairs resolved in-slot / spilled over the whole run
+    bounded_hits: int = 0
+    bounded_spills: int = 0
 
 
 def run_bsp_infomap(
@@ -315,6 +383,8 @@ def run_bsp_infomap(
     accumulator: str = "reduceat",
     init_module: np.ndarray | None = None,
     init_active: np.ndarray | None = None,
+    worklist: bool = True,
+    deadline_at: float | None = None,
 ) -> BSPOutcome:
     """Run the shared multilevel BSP schedule.
 
@@ -357,6 +427,14 @@ def run_bsp_infomap(
         with the standard convergence rule.  Only meaningful at level
         0; requires nothing of ``init_module`` but is normally paired
         with it (warm labels + dirty frontier).
+    worklist:
+        ``True`` (default) revisits only the movers and their
+        neighbourhoods after each pass (HyPC-Map's active set).
+        ``False`` re-sweeps every vertex of the level every pass — the
+        vectorized engine's cold schedule.
+    deadline_at:
+        Optional :func:`time.monotonic` instant; the driver raises
+        :class:`DeadlineExceeded` at the first barrier past it.
     """
     if num_cores < 1:
         raise ValueError("num_cores must be >= 1")
@@ -437,25 +515,28 @@ def run_bsp_infomap(
                 for p in range(num_cores)
             ]
             backend.on_pass_orders(core_orders)
-            offsets = [0] * num_cores
-            rounds = 0
+            active_count = sum(map(len, core_orders))
+            longest = max(map(len, core_orders))
+            # round r covers [r*step, (r+1)*step) of every core's order
+            step = longest if chunk is None else chunk
+            rounds = -(-longest // step) if longest else 0
             proposed_total = 0
             applied_all: list[np.ndarray] = []
             with trace_span("findbest", level=level, pass_=pass_idx):
-                while any(
-                    offsets[p] < len(core_orders[p]) for p in range(num_cores)
-                ):
-                    rounds += 1
-                    shards: list[tuple[int, np.ndarray]] = []
-                    for p in range(num_cores):
-                        order = core_orders[p]
-                        lo = offsets[p]
-                        hi = len(order) if chunk is None else min(
-                            lo + chunk, len(order)
+                for r in range(rounds):
+                    lo = r * step
+                    shards = [
+                        (p, order[lo:lo + step])
+                        for p, order in enumerate(core_orders)
+                    ]
+                    if (
+                        deadline_at is not None
+                        and time.monotonic() >= deadline_at
+                    ):
+                        raise DeadlineExceeded(
+                            f"job deadline lapsed at barrier {barrier}"
                         )
-                        offsets[p] = hi
-                        shards.append((p, order[lo:hi]))
-                    backend.on_barrier(level, pass_idx, rounds - 1, barrier)
+                    backend.on_barrier(level, pass_idx, r, barrier)
                     barrier += 1
                     verts, targets = backend.propose(
                         shards, module, enter, exit_, flow
@@ -465,7 +546,8 @@ def run_bsp_infomap(
                         continue
                     module, enter, exit_, flow, length, applied = (
                         commit_proposals(
-                            ws, net, module, length, verts, targets, rng
+                            ws, net, module, enter, exit_, flow, length,
+                            verts, targets, rng,
                         )
                     )
                     if len(applied):
@@ -482,7 +564,7 @@ def run_bsp_infomap(
             recorder.record_pass(
                 level=level,
                 pass_in_level=pass_idx,
-                active_vertices=sum(len(o) for o in core_orders),
+                active_vertices=active_count,
                 moves=len(movers),
                 num_modules=ws.num_modules(module),
                 codelength=length + flat_offset,
@@ -494,7 +576,7 @@ def run_bsp_infomap(
                     pass_in_level=pass_idx,
                     vertices=n,
                     rounds=rounds,
-                    active_vertices=sum(len(o) for o in core_orders),
+                    active_vertices=active_count,
                     proposed=proposed_total,
                     applied=len(movers),
                     codelength=length + flat_offset,
@@ -504,16 +586,19 @@ def run_bsp_infomap(
             )
             if len(movers) == 0:
                 break
-            active = active_neighborhood(ws, net, movers)
-            active_sets = list(split_active_by_block(active, blocks))
+            if worklist:
+                active = active_neighborhood(ws, net, movers)
+                active_sets = list(split_active_by_block(active, blocks))
+            else:
+                active_sets = [None] * num_cores
 
         flat_length = length + flat_offset
         _, lvl_h, lvl_s = ws.accum_stats.snapshot()
         if (lvl_h - lvl_h0) + (lvl_s - lvl_s0):
             accum_levels[level] = [lvl_h - lvl_h0, lvl_s - lvl_s0]
-        uniq = np.unique(module)
+        uniq, dense = np.unique(module, return_inverse=True)
         k = len(uniq)
-        dense = np.searchsorted(uniq, module).astype(np.int64)
+        dense = dense.astype(np.int64)
         recorder.end_level(k, flat_length)
         if k == n:
             converged = True
@@ -554,4 +639,6 @@ def run_bsp_infomap(
         passes=passes,
         telemetry=telemetry,
         pagerank_iterations=pagerank_iterations,
+        bounded_hits=kw["bounded_hits"],
+        bounded_spills=kw["bounded_spills"],
     )

@@ -8,9 +8,11 @@ maintains a partition across edge insertions/deletions by **warm-started
 local re-optimization**, and :func:`warm_refresh` is the module-level entry
 point the serving layer's delta jobs call directly.
 
-The refresh runs on the engines, not beside them.  A warm refresh is one
-run of the shared BSP schedule (:func:`repro.core.bsp.run_bsp_infomap`)
-with two warm-start inputs:
+The refresh runs on the engines, not beside them: every refresh is one
+:func:`repro.core.infomap.run_infomap` call, the same dispatch the CLI
+and the job service use.  A warm refresh is one run of the shared BSP
+schedule (:func:`repro.core.bsp.run_bsp_infomap`) with two warm-start
+inputs:
 
 * ``init_module`` — the previous assignment with every *dirty* vertex
   (an endpoint of a changed edge) re-seeded as its own singleton.
@@ -27,7 +29,8 @@ with two warm-start inputs:
 Because the BSP schedule is a pure function of ``(graph, P, seed, chunk,
 init)``, a warm refresh produces **identical partitions on every engine**
 at equal ``workers``/``seed``/dirty set — ``engine="vectorized"`` runs the
-schedule in-process on one shard, ``"multicore"`` on ``P`` simulated
+schedule in-process on one shard (growing a worklist from the movers,
+as a warm start always does), ``"multicore"`` on ``P`` simulated
 cores, ``"parallel"`` on ``P`` real worker processes
 (``tests/test_engine_conformance.py``, dynamic column).
 
@@ -47,25 +50,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.accumulate import validate_accumulator
-from repro.core.bsp import ProposeBackend, run_bsp_infomap
+# ``_InprocessSweep`` / ``run_bsp_infomap`` stay importable from here:
+# benchmark tracing wraps them by these names
+from repro.core.bsp import InprocessSweep as _InprocessSweep  # noqa: F401
+from repro.core.bsp import run_bsp_infomap  # noqa: F401
+from repro.core.infomap import (
+    BATCHED_ENGINES,
+    run_infomap,
+    validate_engine_args,
+)
 from repro.graph.build import from_edge_array
 from repro.graph.csr import CSRGraph
 from repro.obs import ledger as obs_ledger
 from repro.obs import metrics as obs_metrics
 
 __all__ = [
-    "DYNAMIC_ENGINES",
     "DEFAULT_FULL_RERUN_THRESHOLD",
     "DynamicCommunities",
     "RefreshResult",
     "dirty_frontier",
     "warm_refresh",
 ]
-
-#: engines a refresh may run on — the three batched engines (the
-#: instrumented sequential engine has no shard-restricted batch sweep)
-DYNAMIC_ENGINES = ("vectorized", "multicore", "parallel")
 
 #: fall back to a full from-scratch run when the dirty frontier covers
 #: more than this share of the vertices (measured: past ~1/4 of V the
@@ -95,39 +100,6 @@ class RefreshResult:
     seconds: float = 0.0
 
 
-class _InprocessSweep(ProposeBackend):
-    """Minimal BSP backend: the batched sweep, in-process, no accounting.
-
-    What ``engine="vectorized"`` means for a warm refresh — the same
-    propose the simulated-multicore backend computes (via the driver's
-    own :class:`~repro.core.vectorized.Workspace`), minus its per-core
-    hardware accounting, on a single shard.
-    """
-
-    engine = "vectorized"
-
-    def __init__(self) -> None:
-        self.ws = None
-
-    def begin_level(self, net, level, blocks, ws) -> None:
-        self.ws = ws
-
-    def propose(self, shards, module, enter, exit_, flow):
-        verts_parts: list[np.ndarray] = []
-        targ_parts: list[np.ndarray] = []
-        for _p, shard in shards:
-            if len(shard) == 0:
-                continue
-            v, t, _ = self.ws.best_moves(
-                module, enter, exit_, flow, verts=shard
-            )
-            verts_parts.append(v)
-            targ_parts.append(t)
-        if not verts_parts:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        return np.concatenate(verts_parts), np.concatenate(targ_parts)
-
-
 def dirty_frontier(graph: CSRGraph, dirty: np.ndarray) -> np.ndarray:
     """Dirty vertices plus every vertex sharing an arc with one.
 
@@ -144,19 +116,6 @@ def dirty_frontier(graph: CSRGraph, dirty: np.ndarray) -> np.ndarray:
     flags[dirty] = True
     src, dst, _ = graph.edge_array()
     return np.unique(np.concatenate([dirty, dst[flags[src]], src[flags[dst]]]))
-
-
-def _validate_refresh_params(engine: str, workers: int) -> None:
-    if engine not in DYNAMIC_ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}: choose from {DYNAMIC_ENGINES}"
-        )
-    if not isinstance(workers, int) or workers < 1:
-        raise ValueError("workers must be an int >= 1")
-    if engine == "vectorized" and workers != 1:
-        raise ValueError(
-            "engine 'vectorized' is single-rank: workers must be 1"
-        )
 
 
 def warm_refresh(
@@ -195,12 +154,16 @@ def warm_refresh(
         Dirty-frontier share of the vertex set past which the warm
         start is abandoned for the engine's standard from-scratch run.
     pool / deadline / worker_timeout:
-        Forwarded to :func:`repro.core.parallel.run_infomap_parallel`
-        (``engine="parallel"`` only) — how the serving layer runs
-        refreshes on its warm worker pools.
+        Forwarded to :func:`repro.core.infomap.run_infomap` — how the
+        serving layer runs refreshes on its warm worker pools
+        (``pool``/``worker_timeout``: ``engine="parallel"`` only) and
+        cancels them (``deadline``: every engine).
     """
-    _validate_refresh_params(engine, workers)
-    validate_accumulator(accumulator)
+    validate_engine_args(
+        engine, engines=BATCHED_ENGINES, workers=workers,
+        accumulator=accumulator, chunk=chunk, worker_timeout=worker_timeout,
+        pool=pool, deadline=deadline,
+    )
     if not (0.0 < full_rerun_threshold <= 1.0):
         raise ValueError("full_rerun_threshold must be in (0, 1]")
     n = graph.num_vertices
@@ -220,25 +183,24 @@ def warm_refresh(
         full = share > full_rerun_threshold
 
     t0 = time.perf_counter()
-    if full:
-        r = _run_full(
-            graph, engine, workers, seed, tau, max_levels, max_passes,
-            chunk, accumulator, pool, deadline, worker_timeout,
-        )
-        touched = n
-    else:
+    seeded = None
+    if not full:
         # re-seed dirty vertices as provisional singletons, densify
         dirty = np.unique(np.asarray(dirty, dtype=np.int64))
         seeded = labels.copy()
         seeded[dirty] = n + np.arange(len(dirty), dtype=np.int64)
         _, seeded = np.unique(seeded, return_inverse=True)
         seeded = seeded.astype(np.int64)
-        r = _run_warm(
-            graph, seeded, frontier, engine, workers, seed, tau,
-            max_levels, max_passes, chunk, accumulator, pool, deadline,
-            worker_timeout,
-        )
-        touched = len(frontier)
+    # a full rerun is the engine's standard from-scratch run; a warm one
+    # starts from the seeded labels and sweeps the frontier first
+    r = run_infomap(
+        graph, engine=engine, workers=workers, shuffle_seed=seed, tau=tau,
+        max_levels=max_levels, max_passes_per_level=max_passes, chunk=chunk,
+        accumulator=accumulator, pool=pool, deadline=deadline,
+        worker_timeout=worker_timeout, init_module=seeded,
+        init_active=frontier if not full else None,
+    )
+    touched = n if full else len(frontier)
     seconds = time.perf_counter() - t0
 
     result = RefreshResult(
@@ -257,69 +219,6 @@ def warm_refresh(
         accumulator, result,
     )
     return result
-
-
-def _run_full(
-    graph, engine, workers, seed, tau, max_levels, max_passes, chunk,
-    accumulator, pool, deadline, worker_timeout,
-):
-    """The engine's standard from-scratch run (the fallback policy)."""
-    if engine == "parallel":
-        from repro.core.parallel import run_infomap_parallel
-
-        return run_infomap_parallel(
-            graph, workers=workers, tau=tau, max_levels=max_levels,
-            max_passes_per_level=max_passes, seed=seed, chunk=chunk,
-            pool=pool, deadline=deadline, worker_timeout=worker_timeout,
-            accumulator=accumulator,
-        )
-    if engine == "multicore":
-        from repro.core.multicore import run_infomap_multicore
-
-        return run_infomap_multicore(
-            graph, num_cores=workers, tau=tau, max_levels=max_levels,
-            max_passes_per_level=max_passes, chunk=chunk, seed=seed,
-            accumulator=accumulator,
-        )
-    from repro.core.vectorized import run_infomap_vectorized
-
-    return run_infomap_vectorized(
-        graph, tau=tau, max_levels=max_levels,
-        max_rounds_per_level=max_passes, seed=seed,
-        accumulator=accumulator,
-    )
-
-
-def _run_warm(
-    graph, seeded, frontier, engine, workers, seed, tau, max_levels,
-    max_passes, chunk, accumulator, pool, deadline, worker_timeout,
-):
-    """The warm-started BSP run (identical partition on every engine)."""
-    if engine == "parallel":
-        from repro.core.parallel import run_infomap_parallel
-
-        return run_infomap_parallel(
-            graph, workers=workers, tau=tau, max_levels=max_levels,
-            max_passes_per_level=max_passes, seed=seed, chunk=chunk,
-            pool=pool, deadline=deadline, worker_timeout=worker_timeout,
-            accumulator=accumulator,
-            init_module=seeded, init_active=frontier,
-        )
-    if engine == "multicore":
-        from repro.core.multicore import run_infomap_multicore
-
-        return run_infomap_multicore(
-            graph, num_cores=workers, tau=tau, max_levels=max_levels,
-            max_passes_per_level=max_passes, chunk=chunk, seed=seed,
-            accumulator=accumulator,
-            init_module=seeded, init_active=frontier,
-        )
-    return run_bsp_infomap(
-        graph, _InprocessSweep(), 1, seed=seed, tau=tau,
-        max_levels=max_levels, max_passes_per_level=max_passes,
-        chunk=chunk, accumulator=accumulator,
-        init_module=seeded, init_active=frontier,
-    )
 
 
 def _publish_refresh(result: RefreshResult) -> None:
@@ -404,8 +303,10 @@ class DynamicCommunities:
     ):
         if num_vertices <= 0:
             raise ValueError("num_vertices must be positive")
-        _validate_refresh_params(engine, workers)
-        validate_accumulator(accumulator)
+        validate_engine_args(
+            engine, engines=BATCHED_ENGINES, workers=workers,
+            accumulator=accumulator, chunk=chunk,
+        )
         if not (0.0 < full_rerun_threshold <= 1.0):
             raise ValueError("full_rerun_threshold must be in (0, 1]")
         self.num_vertices = num_vertices

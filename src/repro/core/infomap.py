@@ -17,6 +17,7 @@ from which :class:`InfomapResult` derives the per-kernel timing breakdown
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -24,6 +25,7 @@ import numpy as np
 
 from repro.accum.factory import make_accumulator
 from repro.core.accumulate import validate_accumulator
+from repro.core.faults import FaultPlan
 from repro.core.findbest import find_best_pass
 from repro.core.flow import FlowNetwork
 from repro.core.partition import Partition
@@ -46,7 +48,14 @@ from repro.util.rng import make_rng
 
 log = get_logger("core.infomap")
 
-__all__ = ["run_infomap", "InfomapResult", "IterationRecord"]
+__all__ = [
+    "ENGINES",
+    "BATCHED_ENGINES",
+    "run_infomap",
+    "validate_engine_args",
+    "InfomapResult",
+    "IterationRecord",
+]
 
 #: HyPC-Map runs its PageRank kernel by power iteration regardless of
 #: directedness (Section II-C).  For undirected networks our flow model is
@@ -131,6 +140,76 @@ class InfomapResult:
         )
 
 
+#: every engine :func:`run_infomap` dispatches to
+ENGINES = ("sequential", "vectorized", "multicore", "parallel")
+#: the engines that run the shared BSP schedule (:mod:`repro.core.bsp`)
+BATCHED_ENGINES = ("vectorized", "multicore", "parallel")
+
+
+def validate_engine_args(
+    engine: str,
+    *,
+    engines: tuple[str, ...] = ENGINES,
+    workers: int | None = None,
+    accumulator: str = "reduceat",
+    chunk: int | None = None,
+    warm_start: bool = False,
+    fault_plan=None,
+    worker_timeout: float | None = None,
+    pool=None,
+    deadline: float | None = None,
+) -> None:
+    """Raise ``ValueError`` for the first engine argument that cannot run.
+
+    The one check behind every engine entry point: :func:`run_infomap`,
+    :meth:`repro.service.jobs.JobSpec.validate`,
+    :func:`repro.core.dynamic.warm_refresh` and ``repro run``.
+    ``engines`` narrows the accepted names (the serving and refresh
+    layers take the batched engines only); ``workers=None`` means the
+    engine's default, and the single-rank engines accept only ``1``.
+    """
+    if engine not in engines:
+        raise ValueError(f"unknown engine {engine!r}: choose from {engines}")
+    if workers is not None:
+        if not isinstance(workers, int) or workers < 1:
+            raise ValueError("workers must be an int >= 1")
+        if engine not in ("multicore", "parallel") and workers != 1:
+            raise ValueError(
+                f"engine {engine!r} is single-rank: workers must be 1 "
+                f"(workers= applies to 'multicore' and 'parallel')"
+            )
+    validate_accumulator(accumulator)
+    if engine not in BATCHED_ENGINES and (
+        accumulator != "reduceat" or chunk is not None or warm_start
+        or deadline is not None
+    ):
+        raise ValueError(
+            f"accumulator=, chunk=, init_module=, init_active= and "
+            f"deadline= apply to the batched engines {BATCHED_ENGINES}, "
+            f"not {engine!r}; the sequential engine accumulates through "
+            f"its backend= instead"
+        )
+    if chunk is not None and chunk < 1:
+        raise ValueError("chunk must be >= 1 (or None for whole shards)")
+    if deadline is not None and not (
+        isinstance(deadline, (int, float)) and 0 < deadline < math.inf
+    ):
+        raise ValueError("deadline must be positive finite seconds")
+    for name, value in (
+        ("fault_plan", fault_plan),
+        ("worker_timeout", worker_timeout),
+        ("pool", pool),
+    ):
+        if value is not None and engine != "parallel":
+            raise ValueError(f"{name} requires engine 'parallel', not {engine!r}")
+    if isinstance(fault_plan, str):
+        FaultPlan.parse(fault_plan, workers=workers or 2)
+    elif fault_plan is not None and not isinstance(fault_plan, FaultPlan):
+        raise ValueError("fault_plan must be a FaultPlan or its string spelling")
+    if worker_timeout is not None and worker_timeout <= 0:
+        raise ValueError("worker_timeout must be positive seconds")
+
+
 def run_infomap(
     graph: CSRGraph,
     backend: str = "plain",
@@ -138,7 +217,7 @@ def run_infomap(
     ctx: HardwareContext | None = None,
     tau: float = 0.15,
     max_levels: int = 20,
-    max_passes_per_level: int = 10,
+    max_passes_per_level: int | None = None,
     shuffle_seed: int | None = None,
     worklist: bool = True,
     accumulator_kwargs: dict | None = None,
@@ -149,8 +228,16 @@ def run_infomap(
     pool=None,
     deadline: float | None = None,
     accumulator: str = "reduceat",
+    chunk: int | None = None,
+    init_module: np.ndarray | None = None,
+    init_active: np.ndarray | None = None,
 ):
     """Run multilevel Infomap on ``graph`` — the single engine entry point.
+
+    Every caller that picks an engine by name — the CLI, the job service
+    (:mod:`repro.service`) and the incremental refresh
+    (:mod:`repro.core.dynamic`) — dispatches here, behind
+    :func:`validate_engine_args`.
 
     Parameters
     ----------
@@ -176,20 +263,25 @@ def run_infomap(
         differ slightly across *schedules* (sequential vs batched).
     workers:
         Core/worker count for the ``multicore`` and ``parallel`` engines
-        (default 2).  Rejected for the single-core engines.
-    fault_plan, worker_timeout:
+        (default 2).  The single-rank engines accept only ``1``.
+    max_passes_per_level:
+        Pass cap per level; ``None`` (default) is the engine's own
+        default (30 for ``vectorized``, 10 for the others).
+    fault_plan, worker_timeout, pool:
         ``parallel`` engine only (rejected elsewhere): a
         :class:`repro.core.faults.FaultPlan` (or its string spelling)
-        injecting worker failures, and the supervisor's reply deadline
-        in seconds.  See :func:`repro.core.parallel.run_infomap_parallel`.
-    pool, deadline:
-        ``parallel`` engine only (rejected elsewhere), the serving
-        hooks: a warm worker pool to run on instead of forking a fresh
-        one (borrowed, never closed; see
-        :func:`repro.core.parallel.run_infomap_parallel`), and a
-        wall-clock budget in seconds after which the run is cancelled
-        with :class:`repro.core.parallel.DeadlineExceeded`.  The job
-        service (:mod:`repro.service`) drives runs through these.
+        injecting worker failures, the supervisor's reply deadline in
+        seconds, and a warm worker pool to run on instead of forking a
+        fresh one (borrowed, never closed).  See
+        :func:`repro.core.parallel.run_infomap_parallel`.
+    deadline:
+        Batched engines only: a wall-clock budget in seconds after which
+        the run is cancelled at the next barrier with
+        :class:`repro.core.bsp.DeadlineExceeded`.  The job service drives
+        runs through this.
+    chunk, init_module, init_active:
+        Batched engines only: round granularity and warm start of the
+        shared BSP schedule (see :func:`repro.core.bsp.run_bsp_infomap`).
     accumulator:
         Candidate-accumulation strategy for the batched engines'
         best-move sweeps: ``"reduceat"`` (sort + segment sums, the
@@ -218,10 +310,11 @@ def run_infomap(
         (``vectorized``, ``multicore``, ``parallel``) this seeds the
         conflict-backoff RNG instead.
     worklist:
-        HyPC-Map's active-set optimization: after the first pass, only
-        vertices adjacent to a move are revisited.  Successive iterations
-        get progressively cheaper (the decaying per-iteration runtimes of
-        Tables III/IV).  Disable to sweep every vertex every pass.
+        Sequential engine: HyPC-Map's active-set optimization — after
+        the first pass, only vertices adjacent to a move are revisited.
+        Successive iterations get progressively cheaper (the decaying
+        per-iteration runtimes of Tables III/IV).  Disable to sweep
+        every vertex every pass.
 
     Returns
     -------
@@ -229,81 +322,64 @@ def run_infomap(
         Per the ``engine`` choice; all expose ``modules``,
         ``num_modules``, ``codelength``, and ``telemetry``.
     """
-    validate_accumulator(accumulator)
-    if workers is not None and engine not in ("multicore", "parallel"):
-        raise ValueError(
-            f"workers= applies to the 'multicore' and 'parallel' engines, "
-            f"not {engine!r}"
-        )
-    if accumulator != "reduceat" and engine not in (
-        "vectorized", "multicore", "parallel"
-    ):
-        raise ValueError(
-            f"accumulator= applies to the batched engines ('vectorized', "
-            f"'multicore', 'parallel'), not {engine!r}; the sequential "
-            f"engine accumulates through its backend= instead"
-        )
-    if (fault_plan is not None or worker_timeout is not None) \
-            and engine != "parallel":
-        raise ValueError(
-            f"fault_plan= and worker_timeout= apply to the 'parallel' "
-            f"engine only, not {engine!r}"
-        )
-    if (pool is not None or deadline is not None) and engine != "parallel":
-        raise ValueError(
-            f"pool= and deadline= apply to the 'parallel' engine only, "
-            f"not {engine!r}"
-        )
+    validate_engine_args(
+        engine,
+        workers=workers,
+        accumulator=accumulator,
+        chunk=chunk,
+        warm_start=init_module is not None or init_active is not None,
+        fault_plan=fault_plan,
+        worker_timeout=worker_timeout,
+        pool=pool,
+        deadline=deadline,
+    )
+    if engine == "sequential":
+        with trace_span("infomap.run", engine="sequential", backend=backend):
+            return _run_infomap(
+                graph, backend, machine, ctx, tau, max_levels,
+                10 if max_passes_per_level is None else max_passes_per_level,
+                shuffle_seed, worklist, accumulator_kwargs,
+            )
+    batched = dict(
+        tau=tau,
+        max_levels=max_levels,
+        seed=shuffle_seed if shuffle_seed is not None else 0,
+        chunk=chunk,
+        accumulator=accumulator,
+        init_module=init_module,
+        init_active=init_active,
+        deadline=deadline,
+    )
     if engine == "vectorized":
-        from repro.core.vectorized import run_infomap_vectorized
+        # looked up at call time, so a wrapped module attribute is honoured
+        from repro.core import vectorized
 
-        return run_infomap_vectorized(
-            graph,
-            tau=tau,
-            max_levels=max_levels,
-            seed=shuffle_seed if shuffle_seed is not None else 0,
-            accumulator=accumulator,
-        )
+        if max_passes_per_level is not None:
+            batched["max_rounds_per_level"] = max_passes_per_level
+        return vectorized.run_infomap_vectorized(graph, **batched)
+    if max_passes_per_level is not None:
+        batched["max_passes_per_level"] = max_passes_per_level
+    workers = workers if workers is not None else 2
     if engine == "multicore":
         from repro.core.multicore import run_infomap_multicore
 
         return run_infomap_multicore(
             graph,
-            num_cores=workers if workers is not None else 2,
+            num_cores=workers,
             backend=backend if backend != "plain" else "softhash",
             machine=machine,
-            tau=tau,
-            max_levels=max_levels,
-            max_passes_per_level=max_passes_per_level,
-            seed=shuffle_seed if shuffle_seed is not None else 0,
-            accumulator=accumulator,
+            **batched,
         )
-    if engine == "parallel":
-        from repro.core.parallel import run_infomap_parallel
+    from repro.core.parallel import run_infomap_parallel
 
-        return run_infomap_parallel(
-            graph,
-            workers=workers if workers is not None else 2,
-            tau=tau,
-            max_levels=max_levels,
-            max_passes_per_level=max_passes_per_level,
-            seed=shuffle_seed if shuffle_seed is not None else 0,
-            fault_plan=fault_plan,
-            worker_timeout=worker_timeout,
-            pool=pool,
-            deadline=deadline,
-            accumulator=accumulator,
-        )
-    if engine != "sequential":
-        raise ValueError(
-            f"unknown engine {engine!r}: choose 'sequential', 'vectorized', "
-            f"'multicore', or 'parallel'"
-        )
-    with trace_span("infomap.run", engine="sequential", backend=backend):
-        return _run_infomap(
-            graph, backend, machine, ctx, tau, max_levels,
-            max_passes_per_level, shuffle_seed, worklist, accumulator_kwargs,
-        )
+    return run_infomap_parallel(
+        graph,
+        workers=workers,
+        fault_plan=fault_plan,
+        worker_timeout=worker_timeout,
+        pool=pool,
+        **batched,
+    )
 
 
 def _run_infomap(

@@ -35,19 +35,19 @@ that owns each applied vertex.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.accum.factory import make_accumulator
-from repro.core.bsp import ProposeBackend, run_bsp_infomap
+from repro.core.bsp import InprocessSweep, run_bsp_infomap
 from repro.core.findbest import find_best_pass
 from repro.core.flow import FlowNetwork
 from repro.core.infomap import IterationRecord, _charge_pagerank
 from repro.core.partition import Partition
 from repro.core.supernode import convert_to_supernodes
 from repro.core.update import update_members
-from repro.core.vectorized import Workspace
 from repro.graph.csr import CSRGraph
 from repro.obs import spans as obs_spans
 from repro.obs.logging import get_logger
@@ -142,7 +142,7 @@ def _distribute(stats_list: list[KernelStats], temp: KernelStats) -> None:
             ks.components()[name].add(share)
 
 
-class _SimulatedCores(ProposeBackend):
+class _SimulatedCores(InprocessSweep):
     """BSP backend: in-process propose + per-core hardware accounting."""
 
     engine = "multicore"
@@ -174,7 +174,6 @@ class _SimulatedCores(ProposeBackend):
         self._barrier_s = machine.barrier_cycles / machine.freq_hz
         self._temp_ctx = HardwareContext(machine, core_id=num_cores)
         self.net: FlowNetwork | None = None
-        self.ws: Workspace | None = None
         self._block_bounds: np.ndarray | None = None
         self._acct: Partition | None = None
         self._pass_before: list[float] = []
@@ -206,31 +205,20 @@ class _SimulatedCores(ProposeBackend):
             self._cm.cycles(s.findbest).seconds for s in self.stats
         ]
 
-    def propose(self, shards, module, enter, exit_, flow):
+    def account(self, core: int, shard: np.ndarray) -> None:
+        # instrumented replay: charges this core's hash/gather/calc
+        # counters for sweeping its shard (moves are proposed by the
+        # batched sweep, so the replay applies nothing); its spans are
+        # attributed to simulated core ``core``
         tracing = obs_spans.is_enabled()
-        verts_parts: list[np.ndarray] = []
-        targ_parts: list[np.ndarray] = []
-        for p, shard in shards:
-            if len(shard) == 0:
-                continue
-            if tracing:
-                # attribute this shard's spans to simulated core p
-                obs_spans.set_current_core(p)
-            # instrumented replay: charges this core's hash/gather/calc
-            # counters for sweeping its shard (moves are proposed by the
-            # batched sweep below, so the replay applies nothing)
-            find_best_pass(
-                self._acct, self.accumulators[p], self.ctxs[p],
-                self.stats[p], order=shard, apply=False,
-            )
-            v, t, _ = self.ws.best_moves(module, enter, exit_, flow, verts=shard)
-            verts_parts.append(v)
-            targ_parts.append(t)
+        if tracing:
+            obs_spans.set_current_core(core)
+        find_best_pass(
+            self._acct, self.accumulators[core], self.ctxs[core],
+            self.stats[core], order=shard, apply=False,
+        )
         if tracing:
             obs_spans.set_current_core(0)
-        if not verts_parts:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        return np.concatenate(verts_parts), np.concatenate(targ_parts)
 
     def end_pass(self, rounds: int) -> float:
         after = [self._cm.cycles(s.findbest).seconds for s in self.stats]
@@ -294,6 +282,7 @@ def run_infomap_multicore(
     accumulator: str = "reduceat",
     init_module: np.ndarray | None = None,
     init_active: np.ndarray | None = None,
+    deadline: float | None = None,
 ) -> MulticoreResult:
     """Run Infomap on ``num_cores`` simulated cores.
 
@@ -315,6 +304,10 @@ def run_infomap_multicore(
         Warm-start assignment and first-pass restriction for level 0
         (see :func:`repro.core.bsp.run_bsp_infomap`) — the incremental
         recompute path of :mod:`repro.core.dynamic`.
+    deadline:
+        Optional wall-clock budget in seconds; the run is cancelled at
+        the next barrier past it with
+        :class:`repro.core.bsp.DeadlineExceeded`.
     """
     if num_cores < 1:
         raise ValueError("num_cores must be >= 1")
@@ -341,6 +334,9 @@ def run_infomap_multicore(
             accumulator=accumulator,
             init_module=init_module,
             init_active=init_active,
+            deadline_at=(
+                None if deadline is None else time.monotonic() + deadline
+            ),
         )
 
     iterations = [

@@ -105,7 +105,12 @@ import numpy as np
 
 from repro.core import arena
 from repro.core.accumulate import validate_accumulator
-from repro.core.bsp import BSPPassRecord, ProposeBackend, run_bsp_infomap
+from repro.core.bsp import (
+    BSPPassRecord,
+    DeadlineExceeded,
+    ProposeBackend,
+    run_bsp_infomap,
+)
 from repro.core.faults import (
     DEFAULT_WORKER_TIMEOUT,
     SLOW_SECONDS,
@@ -415,17 +420,6 @@ class _WorkerFault(Exception):
         self.detail = detail
 
 
-class DeadlineExceeded(RuntimeError):
-    """The run's job deadline lapsed before the schedule finished.
-
-    Raised master-side by the supervision loop (not by a worker), so the
-    run unwinds at a barrier boundary.  Distinct from a worker fault: no
-    recovery is attempted — the caller decides whether to abort the pool
-    (:meth:`_WorkerPool.abort_run`) and move on, which is what the job
-    service does to cancel a job.
-    """
-
-
 def _valid_round_reply(msg, worker: int, cap: int) -> bool:
     """A round reply is ``("done", worker, count, wall_seconds, hits,
     spills)`` with ``count`` proposals sitting in the worker's arena
@@ -500,7 +494,8 @@ class _WorkerPool(ProposeBackend):
         self._barrier = 0
         self._closed = False
         #: absolute time.monotonic() cutoff of the current job (None: no
-        #: deadline); checked at every barrier and poll quantum
+        #: deadline); the driver checks it at every barrier, the
+        #: supervision loop at every poll quantum
         self.job_deadline: float | None = None
         self.worker_propose_seconds = [0.0] * workers
         self.propose_seconds = 0.0
@@ -694,7 +689,6 @@ class _WorkerPool(ProposeBackend):
     ) -> None:
         self._level = level
         self._barrier = barrier
-        self._check_deadline()
 
     def begin_level(self, net, level, blocks, ws) -> None:
         # reply buffer capacity per worker = its block length: every
@@ -1067,6 +1061,7 @@ def run_infomap_parallel(
                 accumulator=accumulator,
                 init_module=init_module,
                 init_active=init_active,
+                deadline_at=pool.job_deadline,
             )
     except BaseException:
         # a run that unwound mid-schedule cannot trust the pipes again

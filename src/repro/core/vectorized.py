@@ -4,14 +4,18 @@ Pure-numpy engine for running Infomap at scales where the instrumented
 per-operation engine would be too slow (quality studies, the LFR sweep,
 examples on 100k+ edge graphs).
 
-Each round evaluates the best move of *every* vertex against the current
+The engine has no loop of its own: :func:`run_infomap_vectorized` runs
+the shared BSP schedule (:func:`repro.core.bsp.run_bsp_infomap`) at
+``P=1`` on one in-process shard, sweeping every vertex every pass.  Each
+pass evaluates the best move of *every* vertex against the current
 partition simultaneously (vectorized over all (vertex, candidate-module)
 pairs) and applies all improving moves at once — the batch-synchronous
 relaxation that parallel Infomap implementations (GossipMap, HyPC-Map) use
-across workers.  Because simultaneous moves can conflict, the engine
+across workers.  Because simultaneous moves can conflict, the driver
 recomputes the true codelength after applying and backs off (random halving
 of the move set) if the batch made things worse; this guarantees monotone
-codelength improvement and hence termination.
+codelength improvement and hence termination.  What this module owns is
+the sweep itself, :class:`Workspace`.
 
 Batched hot-path formulation
 ----------------------------
@@ -60,20 +64,12 @@ from repro.core.accumulate import (
     validate_accumulator,
 )
 from repro.core.flow import FlowNetwork
-from repro.core.mapequation import MapEquation
-from repro.core.supernode import convert_to_supernodes
+# re-exported: benchmark tracing wraps ``vectorized.convert_to_supernodes``
+from repro.core.supernode import convert_to_supernodes  # noqa: F401
 from repro.graph.csr import CSRGraph
-from repro.obs.logging import get_logger
 from repro.obs.spans import trace_span
-from repro.obs.telemetry import (
-    ConvergenceTelemetry,
-    TelemetryRecorder,
-    publish_run_metrics,
-)
+from repro.obs.telemetry import ConvergenceTelemetry
 from repro.util.entropy import plogp_array, plogp, plogp_unchecked
-from repro.util.rng import make_rng
-
-log = get_logger("core.vectorized")
 
 __all__ = ["run_infomap_vectorized", "VectorizedResult", "Workspace"]
 
@@ -121,9 +117,9 @@ class VectorizedResult:
 class Workspace:
     """Reusable scratch for the batched hot path.
 
-    One Workspace serves a whole multilevel run (and can be passed to
-    :func:`run_infomap_vectorized` to serve *many* runs, e.g. a
-    parameter sweep over same-scale graphs).  Invariants:
+    One Workspace serves a whole multilevel run (and can be bound to
+    *many* networks in turn, e.g. a parameter sweep over same-scale
+    graphs).  Invariants:
 
     * :meth:`bind` must be called whenever the hot path moves to a new
       :class:`~repro.core.flow.FlowNetwork` (each level, or a new run).
@@ -163,15 +159,9 @@ class Workspace:
         #: lifetime bounded-path tallies (pairs/hits/spills)
         self.accum_stats = AccumStats()
 
-    def set_accumulator(
-        self, accumulator: str, capacity: int | None = None
-    ) -> "Workspace":
+    def set_accumulator(self, accumulator: str) -> "Workspace":
         """Switch strategy; re-resolves against the bound level if any."""
         self.accumulator = validate_accumulator(accumulator)
-        if capacity is not None:
-            if capacity < 1:
-                raise ValueError("capacity must be >= 1")
-            self.capacity = int(capacity)
         if self.net is not None:
             self.bind(self.net)
         return self
@@ -609,195 +599,63 @@ def _best_moves(
     return verts[improving], targets[improving], deltas[improving]
 
 
-def _one_level(
-    net: FlowNetwork,
-    max_rounds: int,
-    rng: np.random.Generator,
-    recorder: "TelemetryRecorder | None" = None,
-    level: int = 0,
-    flat_offset: float = 0.0,
-    workspace: Workspace | None = None,
-) -> tuple[np.ndarray, int, float, int]:
-    """Batch-synchronous local-move rounds at one level.
-
-    Returns ``(module, num_modules, codelength, rounds)``.  When a
-    :class:`~repro.obs.telemetry.TelemetryRecorder` is given, each round
-    is recorded as one pass (``flat_offset`` converts level-local
-    codelengths to flat level-0 bits).  ``workspace`` carries the batched
-    hot path's scratch; one is created (and bound to ``net``) when not
-    given, but callers looping over levels should pass a single instance.
-    """
-    ws = workspace if workspace is not None else Workspace().bind(net)
-    if ws.net is not net:
-        ws.bind(net)
-    n = net.num_vertices
-    module = np.arange(n, dtype=np.int64)
-    enter, exit_, flow = ws.module_state(module, n)
-    length = MapEquation.codelength(enter, exit_, flow, net.node_flow)
-
-    rounds = 0
-    for _ in range(max_rounds):
-        rounds += 1
-        wall0 = time.perf_counter()
-        applied = 0
-        with trace_span("findbest", level=level, pass_=rounds - 1):
-            verts, targets, _deltas = ws.best_moves(module, enter, exit_, flow)
-            stop = len(verts) == 0
-            improved = False
-            if not stop:
-                accepted = np.ones(len(verts), dtype=bool)
-                for _backoff in range(6):
-                    trial = module.copy()
-                    trial[verts[accepted]] = targets[accepted]
-                    e2, x2, f2 = ws.module_state(trial, n)
-                    l2 = MapEquation.codelength(e2, x2, f2, net.node_flow)
-                    if l2 < length - MIN_IMPROVEMENT:
-                        module, enter, exit_, flow, length = trial, e2, x2, f2, l2
-                        improved = True
-                        applied = int(np.count_nonzero(accepted))
-                        break
-                    # conflicting simultaneous moves: keep a random half and retry
-                    keep = rng.random(len(verts)) < 0.5
-                    accepted &= keep
-                    if not np.any(accepted):
-                        break
-        if recorder is not None:
-            wall = time.perf_counter() - wall0
-            recorder.record_kernel("findbest", wall)
-            recorder.record_pass(
-                level=level,
-                pass_in_level=rounds - 1,
-                active_vertices=n,
-                moves=applied,
-                num_modules=ws.num_modules(module),
-                codelength=length + flat_offset,
-                wall_seconds=wall,
-            )
-        if stop or not improved:
-            break
-    uniq, dense = np.unique(module, return_inverse=True)
-    return dense.astype(np.int64), len(uniq), length, rounds
-
-
 def run_infomap_vectorized(
     graph: CSRGraph,
     tau: float = 0.15,
     max_levels: int = 20,
     max_rounds_per_level: int = 30,
     seed: int = 0,
-    workspace: Workspace | None = None,
-    accumulator: str | None = None,
-    capacity: int | None = None,
+    accumulator: str = "reduceat",
+    chunk: int | None = None,
+    init_module: np.ndarray | None = None,
+    init_active: np.ndarray | None = None,
+    deadline: float | None = None,
 ) -> VectorizedResult:
     """Run the batch-synchronous multilevel Infomap.
 
-    Functionally equivalent objective to :func:`repro.core.infomap.run_infomap`
-    (both minimize the same map equation); move schedules differ, so the
-    found partitions can differ slightly — tests check codelengths agree
-    within a few percent on structured graphs.  Callers wanting one entry
-    point can use ``run_infomap(graph, engine="vectorized")``.
-
-    Parameters
-    ----------
-    graph:
-        Input network (directed or undirected, optionally weighted).
-    tau:
-        Teleportation probability for the PageRank kernel.
-    max_levels, max_rounds_per_level:
-        Multilevel schedule caps.
-    seed:
-        Seed for the conflict-backoff RNG (results are deterministic for
-        a fixed seed).
-    workspace:
-        Optional :class:`Workspace` to reuse across runs; by default each
-        run owns one (it is still reused across all passes and levels
-        within the run).
-    accumulator, capacity:
-        Pair-accumulation strategy and bounded-table slot count (see
-        :mod:`repro.core.accumulate`).  ``None`` (default) keeps the
-        given workspace's configuration (``"reduceat"`` for a fresh
-        one).  All strategies are bit-identical; only wall time and the
-        ``accum.bounded.*`` metrics differ.
+    The shared BSP schedule (:func:`repro.core.bsp.run_bsp_infomap`) on
+    one in-process shard: a cold run sweeps every vertex every pass; a
+    warm start (``init_module`` / ``init_active``, see
+    :mod:`repro.core.dynamic`) grows a worklist from the movers, as on
+    every BSP engine.  ``max_rounds_per_level`` is the driver's pass
+    cap; ``seed`` seeds the conflict-backoff RNG; ``chunk`` and the warm
+    start are as in :func:`~repro.core.bsp.run_bsp_infomap`;
+    ``accumulator`` picks a bit-identical pair-accumulation strategy
+    (:mod:`repro.core.accumulate`); ``deadline`` (seconds) cancels the
+    run at the next barrier past it with
+    :class:`~repro.core.bsp.DeadlineExceeded`.  Callers wanting one
+    entry point use ``run_infomap(graph, engine="vectorized")``.
     """
-    rng = make_rng(seed)
-    ws = workspace if workspace is not None else Workspace()
-    if accumulator is not None or capacity is not None:
-        ws.set_accumulator(
-            accumulator if accumulator is not None else ws.accumulator,
-            capacity,
-        )
-    run_accum = ws.accumulator
-    pairs0, hits0, spills0 = ws.accum_stats.snapshot()
-    level_cov: list[tuple[int, float]] = []
-    recorder = TelemetryRecorder("vectorized")
+    from repro.core import bsp
+
+    warm = init_module is not None or init_active is not None
     with trace_span("infomap.run", engine="vectorized"):
-        with trace_span("pagerank", vertices=graph.num_vertices), \
-                recorder.kernel("pagerank"):
-            net = FlowNetwork.from_graph(graph, tau=tau)
-        one_level = MapEquation.one_level_codelength(net.node_flow)
-        # level-0 node-visit term: converts supernode-level codelengths to
-        # true flat-partition codelengths
-        node_flow_log0 = -one_level
-        n0 = graph.num_vertices
-        mapping = np.arange(n0, dtype=np.int64)
-
-        total_rounds = 0
-        levels = 0
-        length = one_level
-        converged = False
-        for level in range(max_levels):
-            levels = level + 1
-            ws.bind(net)
-            _, lvl_h0, lvl_s0 = ws.accum_stats.snapshot()
-            recorder.begin_level(level, net.num_vertices)
-            node_flow_log_level = float(plogp_array(net.node_flow).sum())
-            dense, k, level_length, rounds = _one_level(
-                net,
-                max_rounds_per_level,
-                rng,
-                recorder=recorder,
-                level=level,
-                flat_offset=node_flow_log_level - node_flow_log0,
-                workspace=ws,
-            )
-            length = level_length + node_flow_log_level - node_flow_log0
-            total_rounds += rounds
-            _, lvl_h, lvl_s = ws.accum_stats.snapshot()
-            dh, ds = lvl_h - lvl_h0, lvl_s - lvl_s0
-            if dh + ds:
-                level_cov.append((level, dh / (dh + ds)))
-            recorder.end_level(k, length)
-            log.debug(
-                "level %d: %d -> %d modules, L=%.4f bits after %d rounds",
-                level, net.num_vertices, k, length, rounds,
-            )
-            if k == net.num_vertices:
-                converged = True
-                break
-            mapping = dense[mapping]
-            with trace_span("convert2supernode", level=level, modules=k), \
-                    recorder.kernel("convert2supernode"):
-                net = convert_to_supernodes(net, dense, k, src=ws.src_all)
-
-    telemetry = recorder.finish(converged)
-    _, hits, spills = ws.accum_stats.snapshot()
-    run_hits, run_spills = hits - hits0, spills - spills0
-    publish_run_metrics(
-        telemetry,
-        bounded_hits=run_hits,
-        bounded_spills=run_spills,
-        bounded_coverage_by_level=level_cov,
-    )
-    uniq, final = np.unique(mapping, return_inverse=True)
+        outcome = bsp.run_bsp_infomap(
+            graph,
+            bsp.InprocessSweep(),
+            1,
+            seed=seed,
+            tau=tau,
+            max_levels=max_levels,
+            max_passes_per_level=max_rounds_per_level,
+            chunk=chunk,
+            accumulator=accumulator,
+            init_module=init_module,
+            init_active=init_active,
+            worklist=warm,
+            deadline_at=(
+                None if deadline is None else time.monotonic() + deadline
+            ),
+        )
     return VectorizedResult(
-        modules=final.astype(np.int64),
-        num_modules=len(uniq),
-        codelength=length,
-        one_level_codelength=one_level,
-        levels=levels,
-        rounds=total_rounds,
-        telemetry=telemetry,
-        accumulator=run_accum,
-        bounded_hits=run_hits,
-        bounded_spills=run_spills,
+        modules=outcome.modules,
+        num_modules=outcome.num_modules,
+        codelength=outcome.codelength,
+        one_level_codelength=outcome.one_level_codelength,
+        levels=outcome.levels,
+        rounds=len(outcome.passes),
+        telemetry=outcome.telemetry,
+        accumulator=accumulator,
+        bounded_hits=outcome.bounded_hits,
+        bounded_spills=outcome.bounded_spills,
     )

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.accumulate import validate_accumulator
 from repro.core.faults import FaultPlan
+from repro.core.infomap import BATCHED_ENGINES, validate_engine_args
 from repro.graph.csr import CSRGraph
 from repro.service.delta import Delta
 
@@ -39,9 +39,9 @@ __all__ = [
     "JobResult",
 ]
 
-#: engines a job may request; ``parallel`` is the one the warm pools
-#: amortize (the others are single-rank and have no fork cost to skip)
-ENGINES = ("vectorized", "multicore", "parallel")
+#: engines a job may request — the batched ones; ``parallel`` is the one
+#: the warm pools amortize (the others have no fork cost to skip)
+ENGINES = BATCHED_ENGINES
 
 STATUS_PENDING = "pending"
 STATUS_COMPLETED = "completed"
@@ -79,8 +79,8 @@ class JobSpec:
     accumulator: str = "reduceat"
     #: higher runs first; ties break FIFO by submission order
     priority: int = 0
-    #: wall-clock budget in seconds (``parallel`` only); a job past it
-    #: is cancelled at the next barrier and reported, not raised
+    #: wall-clock budget in seconds (every engine); a job past it is
+    #: cancelled at the next barrier and reported, not raised
     deadline: float | None = None
     #: opt out of the result cache for this job (chaos jobs skip it
     #: automatically)
@@ -108,16 +108,16 @@ class JobSpec:
             raise ValueError(
                 f"graph must be a CSRGraph, got {type(self.graph).__name__}"
             )
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}: choose from {ENGINES}"
-            )
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise ValueError("workers must be an int >= 1")
-        if self.engine == "vectorized" and self.workers != 1:
-            raise ValueError(
-                "engine 'vectorized' is single-rank: workers must be 1"
-            )
+        validate_engine_args(
+            self.engine,
+            engines=ENGINES,
+            workers=self.workers,
+            accumulator=self.accumulator,
+            chunk=self.chunk,
+            fault_plan=self.fault_plan,
+            worker_timeout=self.worker_timeout,
+            deadline=self.deadline,
+        )
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValueError("seed must be an int")
         if not (0.0 < self.tau < 1.0):
@@ -126,31 +126,6 @@ class JobSpec:
             raise ValueError(
                 "max_levels and max_passes_per_level must be >= 1"
             )
-        if self.chunk is not None and self.chunk < 1:
-            raise ValueError("chunk must be >= 1 (or None for whole shards)")
-        validate_accumulator(self.accumulator)
-        if self.deadline is not None:
-            if self.engine != "parallel":
-                raise ValueError(
-                    "deadline requires engine 'parallel' (it is enforced "
-                    "by the worker-pool supervision loop)"
-                )
-            if not (self.deadline > 0 and math.isfinite(self.deadline)):
-                raise ValueError("deadline must be positive finite seconds")
-        if self.fault_plan is not None:
-            if self.engine != "parallel":
-                raise ValueError("fault_plan requires engine 'parallel'")
-            if isinstance(self.fault_plan, str):
-                FaultPlan.parse(self.fault_plan, workers=self.workers)
-            elif not isinstance(self.fault_plan, FaultPlan):
-                raise ValueError(
-                    "fault_plan must be a FaultPlan or its string spelling"
-                )
-        if self.worker_timeout is not None:
-            if self.engine != "parallel":
-                raise ValueError("worker_timeout requires engine 'parallel'")
-            if self.worker_timeout <= 0:
-                raise ValueError("worker_timeout must be positive seconds")
         if self.delta is not None:
             if not isinstance(self.delta, Delta):
                 raise ValueError(

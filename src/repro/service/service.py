@@ -36,7 +36,8 @@ from __future__ import annotations
 import time
 import traceback
 
-from repro.core.parallel import DeadlineExceeded, run_infomap_parallel
+from repro.core.bsp import DeadlineExceeded
+from repro.core.infomap import run_infomap
 from repro.obs import ledger as obs_ledger
 from repro.obs import metrics as obs_metrics
 from repro.obs.logging import get_logger
@@ -291,28 +292,20 @@ class JobService:
 
         from repro.core.dynamic import warm_refresh
 
-        base_key = spec.base_key
-        if base_key is None:
-            base_key = cache_key(
-                dataclasses.replace(spec, delta=None, base_key=None)
+        base = self.cache.get(spec.base_key or cache_key(
+            dataclasses.replace(spec, delta=None, base_key=None)
+        ))
+        if base is None and spec.base_key is not None:
+            result.status = STATUS_REJECTED
+            result.error = (
+                f"unknown base_key {spec.base_key!r}: no cached base "
+                f"partition to warm-start from"
             )
-            base = self.cache.get(base_key)
-        else:
-            base = self.cache.get(base_key)
-            if base is None:
-                result.status = STATUS_REJECTED
-                result.error = (
-                    f"unknown base_key {spec.base_key!r}: no cached base "
-                    f"partition to warm-start from"
-                )
-                return
-        try:
+            return
+
+        def refresh():
             updated = spec.delta.apply(spec.graph)
-            pool = None
-            if spec.engine == "parallel":
-                pool, warm = self.pools.acquire(spec.workers)
-                result.warm_pool = warm
-            r = warm_refresh(
+            return warm_refresh(
                 updated,
                 base.modules if base is not None else None,
                 spec.delta.dirty_vertices(),
@@ -324,86 +317,58 @@ class JobService:
                 max_passes=spec.max_passes_per_level,
                 chunk=spec.chunk,
                 accumulator=spec.accumulator,
-                pool=pool,
+                pool=self._pool_for(spec, result),
                 deadline=spec.deadline,
                 worker_timeout=spec.worker_timeout,
             )
-        except DeadlineExceeded as exc:
-            result.status = STATUS_CANCELLED
-            result.error = f"deadline of {spec.deadline}s exceeded ({exc})"
-            self._count("service.deadline_cancellations")
-        except Exception as exc:
-            result.status = STATUS_FAILED
-            result.error = f"{type(exc).__name__}: {exc}"
-            log.error(
-                "job %d failed:\n%s", result.job_id, traceback.format_exc()
-            )
-            if spec.engine == "parallel":
-                try:
-                    self.pools.discard(spec.workers)
-                except Exception:  # pragma: no cover - defensive
-                    log.error("pool discard failed:\n%s",
-                              traceback.format_exc())
-        else:
-            result.status = STATUS_COMPLETED
-            result.modules = r.modules
-            result.num_modules = int(r.num_modules)
-            result.codelength = float(r.codelength)
-            result.levels = int(r.levels)
+
+        r = self._guarded(spec, result, refresh)
+        if r is not None:
             result.touched_vertices = int(r.touched_vertices)
             result.full_rerun = bool(r.full_rerun)
 
     def _run_engine(self, spec: JobSpec, result: JobResult) -> None:
         """Execute ``spec`` on its engine, reporting into ``result``."""
+        r = self._guarded(spec, result, lambda: run_infomap(
+            spec.graph,
+            engine=spec.engine,
+            workers=spec.workers,
+            tau=spec.tau,
+            max_levels=spec.max_levels,
+            max_passes_per_level=spec.max_passes_per_level,
+            shuffle_seed=spec.seed,
+            chunk=spec.chunk,
+            fault_plan=spec.fault_plan,
+            worker_timeout=spec.worker_timeout,
+            pool=self._pool_for(spec, result),
+            deadline=spec.deadline,
+            accumulator=spec.accumulator,
+        ))
+        if r is not None:
+            result.respawns = getattr(r, "respawns", 0)
+
+    def _pool_for(self, spec: JobSpec, result: JobResult):
+        """The warm pool a ``parallel`` job runs on (``None`` otherwise)."""
+        if spec.engine != "parallel":
+            return None
+        pool, result.warm_pool = self.pools.acquire(spec.workers)
+        return pool
+
+    def _guarded(self, spec: JobSpec, result: JobResult, run):
+        """Call ``run()``; report its outcome into ``result``.
+
+        Returns the engine result when the job completed, else ``None``
+        with ``result`` marked cancelled (deadline) or failed.
+        """
         try:
-            if spec.engine == "parallel":
-                pool, warm = self.pools.acquire(spec.workers)
-                result.warm_pool = warm
-                r = run_infomap_parallel(
-                    spec.graph,
-                    workers=spec.workers,
-                    tau=spec.tau,
-                    max_levels=spec.max_levels,
-                    max_passes_per_level=spec.max_passes_per_level,
-                    seed=spec.seed,
-                    chunk=spec.chunk,
-                    fault_plan=spec.fault_plan,
-                    worker_timeout=spec.worker_timeout,
-                    pool=pool,
-                    deadline=spec.deadline,
-                    accumulator=spec.accumulator,
-                )
-                result.respawns = r.respawns
-            elif spec.engine == "multicore":
-                from repro.core.multicore import run_infomap_multicore
-
-                r = run_infomap_multicore(
-                    spec.graph,
-                    num_cores=spec.workers,
-                    tau=spec.tau,
-                    max_levels=spec.max_levels,
-                    max_passes_per_level=spec.max_passes_per_level,
-                    chunk=spec.chunk,
-                    seed=spec.seed,
-                    accumulator=spec.accumulator,
-                )
-            else:  # vectorized (admission already validated the engine)
-                from repro.core.vectorized import run_infomap_vectorized
-
-                r = run_infomap_vectorized(
-                    spec.graph,
-                    tau=spec.tau,
-                    max_levels=spec.max_levels,
-                    max_rounds_per_level=spec.max_passes_per_level,
-                    seed=spec.seed,
-                    accumulator=spec.accumulator,
-                )
+            r = run()
         except DeadlineExceeded as exc:
-            # the pool already restored itself (abort_run inside the
-            # engine's unwind); it stays warm for the next job
+            # a parallel pool already restored itself (abort_run inside
+            # the engine's unwind); it stays warm for the next job
             result.status = STATUS_CANCELLED
             result.error = f"deadline of {spec.deadline}s exceeded ({exc})"
             self._count("service.deadline_cancellations")
+            return None
         except Exception as exc:
             result.status = STATUS_FAILED
             result.error = f"{type(exc).__name__}: {exc}"
@@ -419,12 +384,13 @@ class JobService:
                 except Exception:  # pragma: no cover - defensive
                     log.error("pool discard failed:\n%s",
                               traceback.format_exc())
-        else:
-            result.status = STATUS_COMPLETED
-            result.modules = r.modules
-            result.num_modules = int(r.num_modules)
-            result.codelength = float(r.codelength)
-            result.levels = int(r.levels)
+            return None
+        result.status = STATUS_COMPLETED
+        result.modules = r.modules
+        result.num_modules = int(r.num_modules)
+        result.codelength = float(r.codelength)
+        result.levels = int(r.levels)
+        return r
 
     # ---------------------------------------------------------- heartbeat
     def heartbeat(self) -> dict:

@@ -146,11 +146,17 @@ class TestWorkspaceReuse:
             planted_partition(3, 10, 0.5, 0.05, seed=9)[0],  # smaller: shrink
         ]
         for g in graphs:
-            reused = run_infomap_vectorized(g, workspace=shared)
-            fresh = run_infomap_vectorized(g)
-            assert np.array_equal(reused.modules, fresh.modules), g.name
-            assert reused.codelength == fresh.codelength
-            assert reused.rounds == fresh.rounds
+            net = FlowNetwork.from_graph(g)
+            n = net.num_vertices
+            shared.bind(net)
+            fresh = Workspace().bind(net)
+            for module in _module_states(net, count=3):
+                enter, exit_, flow = _module_state(net, module, n)
+                sv, st, sd = shared.best_moves(module, enter, exit_, flow)
+                fv, ft, fd = fresh.best_moves(module, enter, exit_, flow)
+                assert np.array_equal(sv, fv), g.name
+                assert np.array_equal(st, ft), g.name
+                assert np.array_equal(sd, fd), g.name
 
     def test_reuse_across_module_states_matches_fresh(self):
         net = FlowNetwork.from_graph(GRAPHS["planted"]())

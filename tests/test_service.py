@@ -167,9 +167,11 @@ def test_engine_crash_reports_failed_and_next_job_runs(monkeypatch):
             raise RuntimeError("synthetic engine crash")
         return real(*args, **kwargs)
 
-    import repro.service.service as service_mod
+    import repro.core.parallel as parallel_mod
 
-    monkeypatch.setattr(service_mod, "run_infomap_parallel", flaky)
+    # the service dispatches through run_infomap, which resolves the
+    # engine function from its module at call time
+    monkeypatch.setattr(parallel_mod, "run_infomap_parallel", flaky)
     with JobService(cache_entries=0) as svc:
         crashed, after = svc.run_batch(
             [
