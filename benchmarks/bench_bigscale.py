@@ -18,13 +18,18 @@ Profiles — select with ``REPRO_BIGSCALE`` (default ``smoke``):
   ``bigscale`` CI job runs it and enforces the paper-scale >=2x floor
   (docs/scaling.md walks through reading the result).
 
-Like the sibling gate, the speedup assertion skips on hosts with fewer
+Like the sibling gate, the 4-worker assertion skips on hosts with fewer
 than 4 CPUs, where the ratio would measure oversubscription rather
-than scaling; the recording test still runs everywhere so every host
+than scaling.  A second gate runs from 2 CPUs up: on profiles that set
+``min_wall_speedup_2_workers`` (``smoke``), the 1-worker end-to-end
+``wall_seconds`` over the 2-worker one must reach that floor — the
+whole solve, master-serial commit and worklist included, not just the
+propose.  The recording test still runs everywhere so every host
 contributes ``BENCH_parallel.json`` points (under the ``bigscale``
 key, merged — never clobbering — the Table I ``points`` section) and
 ``kind="bench"`` ledger rows that ``repro trend --metric speedup``
-reports over.
+reports over.  Each point is the median-wall run of :data:`REPEATS`
+timed runs.
 
 Run the selected profile::
 
@@ -52,6 +57,10 @@ BASELINE_JSON = (
 )
 
 WORKER_COUNTS = (1, 2, 4)
+
+#: timed runs per point; the point reports the median-wall run (one
+#: run on a shared 2-CPU host spread the 2-vs-1-worker ratio 1.16-1.34)
+REPEATS = 3
 
 #: surrogate content seed — fixed so the graph digest (and therefore the
 #: ledger run_key) is stable across hosts and sessions
@@ -105,9 +114,13 @@ def measure(streamed, recipe: str, workers: int) -> dict:
     graph = sg.graph
     # warm run: absorbs fork/bind cost and faults the arena pages in
     run_infomap_parallel(graph, workers=workers, max_levels=2)
-    t0 = time.perf_counter()
-    r = run_infomap_parallel(graph, workers=workers)
-    wall = time.perf_counter() - t0
+    runs = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        r = run_infomap_parallel(graph, workers=workers)
+        runs.append((time.perf_counter() - t0, r))
+    runs.sort(key=lambda run: run[0])
+    wall, r = runs[REPEATS // 2]
     rec = {
         "recipe": recipe,
         "workers": workers,
@@ -158,6 +171,8 @@ def test_record_bigscale(show, streamed):
     by_workers = {r["workers"]: r for r in recs}
     speedup_4 = (by_workers[4]["sweep_vertices_per_s"]
                  / by_workers[1]["sweep_vertices_per_s"])
+    wall_speedup_2 = (by_workers[1]["wall_seconds"]
+                      / by_workers[2]["wall_seconds"])
 
     point_records = [
         bench_record(
@@ -205,6 +220,21 @@ def test_record_bigscale(show, streamed):
         perf={"speedup": speedup_4},
         label=f"{recipe}/speedup",
     ))
+    point_records.append(bench_record(
+        "bench_bigscale",
+        config={
+            "bench": "bigscale",
+            "profile": profile,
+            "recipe": recipe,
+            "graph": by_workers[2]["graph_digest"],
+            "engine": "parallel",
+            "workers": 2,
+            "seed": SEED,
+            "ratio": "wall_seconds_1w_over_2w",
+        },
+        perf={"speedup": wall_speedup_2},
+        label=f"{recipe}/wall-speedup-2w",
+    ))
 
     # update_bench: merge into the artifact bench_parallel_scaling owns
     # the "points" section of; this bench owns "bigscale"
@@ -219,6 +249,7 @@ def test_record_bigscale(show, streamed):
                 "recipe": recipe,
                 "cpus": cpus,
                 "speedup_4_workers": speedup_4,
+                "wall_speedup_2_workers": wall_speedup_2,
                 "points": recs,
             },
         },
@@ -267,4 +298,34 @@ def test_perf_gate_bigscale(show, streamed):
         f"{cfg['recipe']}: 4-worker sweep throughput only {speedup:.2f}x "
         f"the 1-worker baseline (floor {floor}x, tolerance {tolerance}); "
         f"paper-scale scaling has regressed — see docs/scaling.md"
+    )
+
+
+# ----------------------------------------------------------------------
+# perf gate: 2-worker end-to-end wall must beat 1-worker by the floor
+# ----------------------------------------------------------------------
+
+@pytest.mark.perf_gate
+def test_perf_gate_bigscale_two_workers(show, streamed):
+    cpus = os.cpu_count() or 1
+    if cpus < 2:
+        pytest.skip(f"only {cpus} CPU: a second worker cannot run alongside")
+    profile, cfg = _profile()
+    floor = cfg.get("min_wall_speedup_2_workers")
+    if floor is None:
+        pytest.skip(f"profile '{profile}' sets no 2-worker wall floor")
+    tolerance = _baseline()["tolerance"]
+    r1 = measure(streamed, cfg["recipe"], 1)
+    r2 = measure(streamed, cfg["recipe"], 2)
+    speedup = r1["wall_seconds"] / r2["wall_seconds"]
+    show(
+        f"perf-gate bigscale [{profile}/{cfg['recipe']}, "
+        f"{r1['arcs']:,} arcs, {cpus} CPUs]: 2-worker end-to-end wall "
+        f"{speedup:.2f}x the 1-worker run (floor {floor}x, tolerance "
+        f"{tolerance})"
+    )
+    assert speedup >= floor * (1.0 - tolerance), (
+        f"{cfg['recipe']}: 2 workers finish only {speedup:.2f}x faster "
+        f"than 1 (floor {floor}x, tolerance {tolerance}); the "
+        f"master-serial share has grown — see docs/scaling.md"
     )

@@ -15,10 +15,15 @@ and the real process-parallel engine (:mod:`repro.core.parallel`):
    simulated cores, or on real worker processes over shared memory — is
    the only thing an engine supplies.
 2. **commit** — the driver merges proposals in core order behind a
-   barrier: apply all of them at once, recompute module state, accept if
-   the codelength improved, otherwise deterministically halve the move
-   set with the seeded RNG and retry (:func:`commit_proposals`, the same
-   conflict-backoff rule the vectorized engine uses).
+   barrier: apply all of them at once, update the module state, accept
+   if the codelength improved, otherwise deterministically halve the
+   move set with the seeded RNG and retry (:func:`commit_proposals`).
+   The update is incremental and exact (:func:`apply_moves`): the
+   driver keeps a per-level cross-arc mask beside
+   ``(module, enter, exit, flow)`` (:class:`ModuleState`), re-evaluates
+   it only on arcs incident to the movers and sums exit/enter flow over
+   the cross arcs alone, in ascending arc order — bit-identical to a
+   from-scratch :meth:`~repro.core.vectorized.Workspace.module_state`.
 
 Because every quantity that feeds a decision — shard boundaries, snapshot
 state, proposal math, merge order, backoff RNG stream — lives in this
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +56,6 @@ from repro.core.vectorized import MIN_IMPROVEMENT, Workspace
 from repro.graph.csr import CSRGraph
 from repro.obs.spans import trace_span
 from repro.obs.telemetry import TelemetryRecorder, publish_run_metrics
-from repro.util.entropy import plogp_array
 from repro.util.rng import make_rng
 
 __all__ = [
@@ -62,6 +67,9 @@ __all__ = [
     "edge_balanced_blocks",
     "active_neighborhood",
     "split_active_by_block",
+    "ModuleState",
+    "level_state",
+    "apply_moves",
     "commit_proposals",
     "run_bsp_infomap",
 ]
@@ -95,26 +103,37 @@ def edge_balanced_blocks(net: FlowNetwork, num_cores: int) -> list[np.ndarray]:
     return blocks
 
 
-def active_neighborhood(
-    ws: Workspace, net: FlowNetwork, moved: np.ndarray
-) -> np.ndarray:
+def _row_arcs(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions of every arc in the CSR rows ``rows``, row by row.
+
+    O(arcs of those rows): each row's ``[indptr[r], indptr[r + 1])``
+    range, concatenated without a Python loop.
+    """
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts - ends + lens, lens) + np.arange(total)
+
+
+def active_neighborhood(net: FlowNetwork, moved: np.ndarray) -> np.ndarray:
     """Vertices to revisit next pass: movers plus their neighbourhoods.
 
-    Vectorized equivalent of the sequential engine's ``_active_set`` (one
-    arc-mask instead of a per-mover Python loop), shared by both BSP
-    engines so their worklists are identical.
+    Vectorized equivalent of the sequential engine's ``_active_set``,
+    shared by every BSP engine so their worklists are identical.  Flags
+    the movers and the targets of their CSR rows (and of their
+    transpose rows when the network is directed) in a length-``n`` mask
+    and returns its sorted nonzeros — O(n + mover arcs), no sort or hash
+    over the concatenated neighbour lists.
     """
     if len(moved) == 0:
         return np.empty(0, dtype=np.int64)
     flags = np.zeros(net.num_vertices, dtype=bool)
     flags[moved] = True
-    parts = [moved, ws.dst_all[flags[ws.src_all]]]
+    flags[net.indices[_row_arcs(net.indptr, moved)]] = True
     if net.directed:
-        t_src = np.repeat(
-            np.arange(net.num_vertices, dtype=np.int64), np.diff(net.t_indptr)
-        )
-        parts.append(net.t_indices[flags[t_src]])
-    return np.unique(np.concatenate(parts))
+        flags[net.t_indices[_row_arcs(net.t_indptr, moved)]] = True
+    return np.flatnonzero(flags)
 
 
 def split_active_by_block(
@@ -142,45 +161,115 @@ class DeadlineExceeded(RuntimeError):
     """
 
 
+class ModuleState(NamedTuple):
+    """One level's partition state between barriers.
+
+    ``enter``/``exit``/``flow`` are the per-module flows of
+    :meth:`repro.core.vectorized.Workspace.module_state`, ``cross`` the
+    per-arc mask ``module[src] != module[dst]`` over the workspace's
+    full arc list (the arcs whose flow is exit/enter flow) and
+    ``length`` the level codelength of the partition.
+    """
+
+    module: np.ndarray
+    enter: np.ndarray
+    exit: np.ndarray
+    flow: np.ndarray
+    cross: np.ndarray
+    length: float
+
+
+def level_state(
+    ws: Workspace, net: FlowNetwork, module: np.ndarray, node_flow_log: float
+) -> ModuleState:
+    """A level's initial state, computed from scratch (once per level)."""
+    enter, exit_, flow = ws.module_state(module, net.num_vertices)
+    cross = module[ws.src_all] != module[ws.dst_all]
+    return ModuleState(
+        module, enter, exit_, flow, cross,
+        MapEquation.level_codelength(enter, exit_, flow, node_flow_log),
+    )
+
+
+def apply_moves(
+    ws: Workspace,
+    net: FlowNetwork,
+    state: ModuleState,
+    movers: np.ndarray,
+    targets: np.ndarray,
+    node_flow_log: float,
+) -> ModuleState:
+    """``state`` with ``movers`` moved to ``targets``, updated incrementally.
+
+    Only arcs that start or end at a mover can change their cross
+    status, so the mask is re-evaluated on those arcs alone (the movers'
+    CSR rows plus the arcs whose destination is a mover).  Exit and
+    enter flow are then summed over the ascending cross-arc ids only.
+    ``np.bincount(idx, weights=w)`` adds into each bin in input order
+    from +0.0, and the ascending id list hands every bin exactly the
+    summands of :meth:`~repro.core.vectorized.Workspace.module_state`'s
+    masked full pass in the same order — so the result is bit-identical
+    to recomputing from scratch.  ``state`` is not modified.
+    """
+    n = net.num_vertices
+    src, dst = ws.src_all, ws.dst_all
+    module = state.module.copy()
+    module[movers] = targets
+    moved = np.zeros(n, dtype=bool)
+    moved[movers] = True
+    touched = np.take(moved, dst)
+    touched[_row_arcs(net.indptr, movers)] = True
+    ids = np.flatnonzero(touched)
+    cross = state.cross.copy()
+    cross[ids] = module[src[ids]] != module[dst[ids]]
+    ids = np.flatnonzero(cross)
+    w = net.arc_flow[ids]
+    exit_ = np.bincount(module[src[ids]], weights=w, minlength=n)
+    enter = np.bincount(module[dst[ids]], weights=w, minlength=n)
+    flow = np.bincount(module, weights=net.node_flow, minlength=n)
+    return ModuleState(
+        module, enter, exit_, flow, cross,
+        MapEquation.level_codelength(enter, exit_, flow, node_flow_log),
+    )
+
+
 def commit_proposals(
     ws: Workspace,
     net: FlowNetwork,
-    module: np.ndarray,
-    enter: np.ndarray,
-    exit_: np.ndarray,
-    flow: np.ndarray,
-    length: float,
+    state: ModuleState,
     verts: np.ndarray,
     targets: np.ndarray,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]:
+    node_flow_log: float,
+) -> tuple[ModuleState, np.ndarray]:
     """The deterministic merge behind the barrier.
 
-    Applies all proposed moves at once, recomputes module state, and
-    accepts the batch iff the codelength strictly improved; otherwise the
-    proposal set is halved with the seeded RNG and retried (at most
-    :data:`BACKOFF_TRIES` times).  Returns the (possibly unchanged) state
-    ``(module, enter, exit, flow, length, applied_verts)`` — after a
-    failed commit, the caller's own ``(enter, exit, flow)`` unchanged.
+    Applies all proposed moves at once (:func:`apply_moves`: O(mover
+    arcs + cross arcs) index work plus a flag gather and two nonzero
+    scans of byte masks over the arcs, instead of a full recompute) and
+    accepts the batch iff the codelength strictly improved; otherwise
+    the proposal set is halved with the seeded RNG and retried (at most
+    :data:`BACKOFF_TRIES` times).  Returns ``(state, applied_verts)`` —
+    after a failed commit, the caller's own ``state`` (cross mask
+    included) unchanged.
 
     This is a pure function of its inputs plus the RNG stream — the
     determinism anchor of the whole schedule.
     """
-    n = net.num_vertices
     accepted = np.ones(len(verts), dtype=bool)
     for _backoff in range(BACKOFF_TRIES):
-        trial = module.copy()
-        trial[verts[accepted]] = targets[accepted]
-        e2, x2, f2 = ws.module_state(trial, n)
-        l2 = MapEquation.codelength(e2, x2, f2, net.node_flow)
-        if l2 < length - MIN_IMPROVEMENT:
-            return trial, e2, x2, f2, l2, verts[accepted]
+        trial = apply_moves(
+            ws, net, state, verts[accepted], targets[accepted],
+            node_flow_log,
+        )
+        if trial.length < state.length - MIN_IMPROVEMENT:
+            return trial, verts[accepted]
         # conflicting simultaneous moves: keep a random half and retry
         keep = rng.random(len(verts)) < 0.5
         accepted &= keep
         if not np.any(accepted):
             break
-    return module, enter, exit_, flow, length, np.empty(0, dtype=np.int64)
+    return state, np.empty(0, dtype=np.int64)
 
 
 class ProposeBackend:
@@ -495,21 +584,21 @@ def run_bsp_infomap(
         blocks = edge_balanced_blocks(net, num_cores)
         backend.begin_level(net, level, blocks, ws)
         recorder.begin_level(level, n)
-        flat_offset = float(plogp_array(net.node_flow).sum()) - node_flow_log0
+        node_flow_log = MapEquation.node_flow_log(net.node_flow)
+        flat_offset = node_flow_log - node_flow_log0
 
         if level == 0 and init_module is not None:
             module = init_module.copy()
         else:
             module = np.arange(n, dtype=np.int64)
-        enter, exit_, flow = ws.module_state(module, n)
-        length = MapEquation.codelength(enter, exit_, flow, net.node_flow)
+        state = level_state(ws, net, module, node_flow_log)
 
         active_sets: list[np.ndarray | None] = [None] * num_cores
         if level == 0 and init_active is not None:
             active_sets = list(split_active_by_block(init_active, blocks))
         for pass_idx in range(max_passes_per_level):
             wall0 = time.perf_counter()
-            backend.begin_pass(module)
+            backend.begin_pass(state.module)
             core_orders = [
                 blocks[p] if active_sets[p] is None else active_sets[p]
                 for p in range(num_cores)
@@ -539,16 +628,14 @@ def run_bsp_infomap(
                     backend.on_barrier(level, pass_idx, r, barrier)
                     barrier += 1
                     verts, targets = backend.propose(
-                        shards, module, enter, exit_, flow
+                        shards, state.module, state.enter, state.exit,
+                        state.flow,
                     )
                     proposed_total += len(verts)
                     if len(verts) == 0:
                         continue
-                    module, enter, exit_, flow, length, applied = (
-                        commit_proposals(
-                            ws, net, module, enter, exit_, flow, length,
-                            verts, targets, rng,
-                        )
+                    state, applied = commit_proposals(
+                        ws, net, state, verts, targets, rng, node_flow_log
                     )
                     if len(applied):
                         applied_all.append(applied)
@@ -566,8 +653,8 @@ def run_bsp_infomap(
                 pass_in_level=pass_idx,
                 active_vertices=active_count,
                 moves=len(movers),
-                num_modules=ws.num_modules(module),
-                codelength=length + flat_offset,
+                num_modules=ws.num_modules(state.module),
+                codelength=state.length + flat_offset,
                 wall_seconds=wall,
             )
             passes.append(
@@ -579,7 +666,7 @@ def run_bsp_infomap(
                     active_vertices=active_count,
                     proposed=proposed_total,
                     applied=len(movers),
-                    codelength=length + flat_offset,
+                    codelength=state.length + flat_offset,
                     wall_seconds=wall,
                     seconds=sim if sim is not None else wall,
                 )
@@ -587,16 +674,16 @@ def run_bsp_infomap(
             if len(movers) == 0:
                 break
             if worklist:
-                active = active_neighborhood(ws, net, movers)
+                active = active_neighborhood(net, movers)
                 active_sets = list(split_active_by_block(active, blocks))
             else:
                 active_sets = [None] * num_cores
 
-        flat_length = length + flat_offset
+        flat_length = state.length + flat_offset
         _, lvl_h, lvl_s = ws.accum_stats.snapshot()
         if (lvl_h - lvl_h0) + (lvl_s - lvl_s0):
             accum_levels[level] = [lvl_h - lvl_h0, lvl_s - lvl_s0]
-        uniq, dense = np.unique(module, return_inverse=True)
+        uniq, dense = np.unique(state.module, return_inverse=True)
         k = len(uniq)
         dense = dense.astype(np.int64)
         recorder.end_level(k, flat_length)

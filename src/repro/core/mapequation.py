@@ -38,6 +38,16 @@ class MapEquation:
     """Stateless map-equation evaluation."""
 
     @staticmethod
+    def node_flow_log(node_flow: np.ndarray) -> float:
+        """The node-entropy term ``Σ_α plogp(p_α)``.
+
+        Constant for a network, so a caller that scores many partitions
+        of one level computes it once and passes it to
+        :meth:`level_codelength`.
+        """
+        return float(plogp_array(node_flow).sum())
+
+    @staticmethod
     def codelength(
         module_enter: np.ndarray,
         module_exit: np.ndarray,
@@ -50,11 +60,27 @@ class MapEquation:
         empty modules are fine — ``plogp(0) = 0``) and the per-node visit
         rates.
         """
+        return MapEquation.level_codelength(
+            module_enter, module_exit, module_flow,
+            MapEquation.node_flow_log(node_flow),
+        )
+
+    @staticmethod
+    def level_codelength(
+        module_enter: np.ndarray,
+        module_exit: np.ndarray,
+        module_flow: np.ndarray,
+        node_flow_log: float,
+    ) -> float:
+        """:meth:`codelength` with the node term precomputed.
+
+        ``node_flow_log`` is :meth:`node_flow_log` of the level's node
+        flows; the result is the same float as :meth:`codelength`.
+        """
         sum_enter = float(module_enter.sum())
         enter_log_enter = float(plogp_array(module_enter).sum())
         exit_log_exit = float(plogp_array(module_exit).sum())
         flow_log_flow = float(plogp_array(module_exit + module_flow).sum())
-        node_flow_log = float(plogp_array(node_flow).sum())
         return (
             plogp(sum_enter)
             - enter_log_enter
@@ -79,7 +105,7 @@ class MapEquation:
         return (
             -float(plogp_array(module_exit).sum())
             + float(plogp_array(module_exit + module_flow).sum())
-            - float(plogp_array(node_flow).sum())
+            - MapEquation.node_flow_log(node_flow)
         )
 
     @staticmethod
@@ -89,4 +115,4 @@ class MapEquation:
         With a single module there is no index codebook and no exits:
         L = H(node visit rates).
         """
-        return -float(plogp_array(node_flow).sum())
+        return -MapEquation.node_flow_log(node_flow)
