@@ -4,8 +4,15 @@
 HyPC-Map — the parallel Infomap this paper accelerates — is a hybrid
 shared/distributed implementation.  This example runs the simulated BSP
 distributed engine across rank counts and prints the classic distributed
-trade-off: per-rank compute shrinks, communication grows, and quality
-stays put despite stale ghost information.
+trade-off: per-rank compute shrinks, communication grows, and partitions
+are rank-independent at whole-shard rounds.
+
+The engine is the shared BSP schedule (``repro.core.bsp``) with an
+accounting-only backend: each rank proposes against the superstep-start
+snapshot (its ghosts are fully stale until the barrier), so the
+partition equals the simulated multicore engine's at seed 0 and every
+row shows the same modules and codelength; only compute versus
+communication time varies with the rank count.
 
 Run:  python examples/distributed_scaling.py [dataset]
 """

@@ -90,7 +90,7 @@ def record_trace(graph: CSRGraph, **infomap_kwargs) -> AccumulationTrace:
     net = FlowNetwork.from_graph(graph, tau=infomap_kwargs.get("tau", 0.15))
     max_levels = infomap_kwargs.get("max_levels", 20)
     max_passes = infomap_kwargs.get("max_passes_per_level", 10)
-    from repro.core.infomap import _active_set
+    from repro.core.bsp import active_neighborhood
 
     for _level in range(max_levels):
         partition = Partition(net)
@@ -101,7 +101,7 @@ def record_trace(graph: CSRGraph, **infomap_kwargs) -> AccumulationTrace:
             )
             if moves == 0:
                 break
-            active = _active_set(net, moved)
+            active = active_neighborhood(net, np.asarray(moved, np.int64))
         dense, k = partition.dense_assignment()
         if k == net.num_vertices:
             break

@@ -27,11 +27,15 @@ Engines:
   simulated multicore engine behind Figs 7/9/10/11;
 * :func:`repro.core.parallel.run_infomap_parallel` — the real
   process-parallel engine (multiprocessing + shared-memory arenas),
-  bit-identical to the simulated engine at equal worker count/seed.
+  bit-identical to the simulated engine at equal worker count/seed;
+* :func:`repro.core.distributed.run_infomap_distributed` — the
+  simulated MPI-style engine: the multicore schedule on ``num_ranks``
+  shards with α–β message/byte accounting per superstep.
 
-All three batched engines run one deterministic barrier-synchronous
+All four batched engines run one deterministic barrier-synchronous
 multilevel driver, :mod:`repro.core.bsp` (propose per shard, commit
-behind the barrier) — only where the propose executes differs.
+behind the barrier) — only where the propose executes, and what it
+accounts for, differs.
 """
 
 from repro.core.flow import FlowNetwork, pagerank

@@ -3,8 +3,10 @@
 Every batched engine executes the *same* deterministic two-phase
 schedule, defined once here: the vectorized engine
 (:mod:`repro.core.vectorized`, one in-process shard, every vertex swept
-every pass), the simulated multicore engine (:mod:`repro.core.multicore`)
-and the real process-parallel engine (:mod:`repro.core.parallel`):
+every pass), the simulated multicore engine (:mod:`repro.core.multicore`),
+the real process-parallel engine (:mod:`repro.core.parallel`) and the
+simulated distributed engine (:mod:`repro.core.distributed`, one shard
+per rank, one superstep per pass):
 
 1. **propose** — vertices are sharded across ``P`` cores by arc count
    (:func:`edge_balanced_blocks`); each core computes the best improving
@@ -30,15 +32,18 @@ state, proposal math, merge order, backoff RNG stream — lives in this
 module and is a pure function of ``(graph, num_cores, seed, chunk)``, two
 engines running this schedule produce **bit-identical partitions** at
 equal core counts and seeds.  ``tests/test_engine_conformance.py``
-enforces exactly that for ``parallel(P=k)`` vs ``multicore(P=k)``.
+enforces exactly that for ``parallel(P=k)`` and ``distributed(k)`` vs
+``multicore(P=k)``.
 
 Engines participate through a :class:`ProposeBackend`: the vectorized
 engine proposes in-process (:class:`InprocessSweep`); the multicore
 engine adds a per-core hardware-accounting sweep (the paper's simulated
-counters) around the authoritative propose; the parallel engine ships the
-propose to worker processes.  The commit/merge itself is driver-side and
-is deliberately *not* charged to the simulated cores — it models
-HyPC-Map's cheap deterministic merge at the barrier.
+counters) around the authoritative propose; the distributed engine adds
+α–β network accounting per superstep (each rank broadcasts its
+proposals to its peers) around the same in-process propose; the parallel
+engine ships the propose to worker processes.  The commit/merge itself
+is driver-side and is deliberately *not* charged to the simulated cores
+— it models HyPC-Map's cheap deterministic merge at the barrier.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ __all__ = [
     "BSPOutcome",
     "BSPPassRecord",
     "edge_balanced_blocks",
+    "block_owner_counts",
     "active_neighborhood",
     "split_active_by_block",
     "ModuleState",
@@ -103,6 +109,22 @@ def edge_balanced_blocks(net: FlowNetwork, num_cores: int) -> list[np.ndarray]:
     return blocks
 
 
+def block_owner_counts(
+    blocks: list[np.ndarray], verts: np.ndarray
+) -> np.ndarray:
+    """How many of ``verts`` each core's block owns (length ``P``).
+
+    :func:`edge_balanced_blocks` tiles ``[0, n)`` with contiguous
+    blocks, so block ``p`` ends at the running total of the block sizes
+    and one ``searchsorted`` attributes every vertex to its owner.
+    """
+    right_edges = np.cumsum([len(b) for b in blocks])
+    return np.bincount(
+        np.searchsorted(right_edges, verts, side="right"),
+        minlength=len(blocks),
+    )
+
+
 def _row_arcs(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Positions of every arc in the CSR rows ``rows``, row by row.
 
@@ -119,12 +141,13 @@ def _row_arcs(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def active_neighborhood(net: FlowNetwork, moved: np.ndarray) -> np.ndarray:
     """Vertices to revisit next pass: movers plus their neighbourhoods.
 
-    Vectorized equivalent of the sequential engine's ``_active_set``,
-    shared by every BSP engine so their worklists are identical.  Flags
-    the movers and the targets of their CSR rows (and of their
-    transpose rows when the network is directed) in a length-``n`` mask
-    and returns its sorted nonzeros — O(n + mover arcs), no sort or hash
-    over the concatenated neighbour lists.
+    The one worklist rule of every engine: the BSP driver and the
+    per-vertex sequential, hierarchical and ASA-trace loops all call it,
+    so their worklists are identical.  Flags the movers and the targets
+    of their CSR rows (and of their transpose rows when the network is
+    directed) in a length-``n`` mask and returns its sorted nonzeros —
+    O(n + mover arcs), no sort or hash over the concatenated neighbour
+    lists.
     """
     if len(moved) == 0:
         return np.empty(0, dtype=np.int64)
@@ -139,15 +162,10 @@ def active_neighborhood(net: FlowNetwork, moved: np.ndarray) -> np.ndarray:
 def split_active_by_block(
     active: np.ndarray, blocks: list[np.ndarray]
 ) -> list[np.ndarray]:
-    """Each core revisits its contiguous block's share of the active set."""
-    out: list[np.ndarray] = []
-    for block in blocks:
-        if len(block):
-            lo, hi = block[0], block[-1]
-            out.append(active[(active >= lo) & (active <= hi)])
-        else:
-            out.append(np.empty(0, dtype=np.int64))
-    return out
+    """Each core revisits its contiguous block's share of the (sorted)
+    active set."""
+    owned = block_owner_counts(blocks, active)
+    return np.split(active, np.cumsum(owned)[:-1])
 
 
 class DeadlineExceeded(RuntimeError):
@@ -387,7 +405,9 @@ class InprocessSweep(ProposeBackend):
 
     What ``engine="vectorized"`` runs on (one shard, no accounting), and
     the propose the simulated-multicore backend extends with its per-core
-    hardware accounting (:meth:`account`).  Sweeps go through the
+    hardware accounting (:meth:`account`) and the distributed backend
+    with α–β message accounting (both attribute vertices to their owning
+    core's level block, kept as ``blocks``).  Sweeps go through the
     driver's own :class:`~repro.core.vectorized.Workspace`; a single
     shard holding the whole level (shards hold distinct vertices) is
     swept unrestricted (``verts=None``), which returns the same rows
@@ -399,6 +419,7 @@ class InprocessSweep(ProposeBackend):
 
     def begin_level(self, net, level, blocks, ws) -> None:
         self.ws = ws
+        self.blocks = blocks
 
     def account(self, core: int, shard: np.ndarray) -> None:
         """Per-shard hook run before the shard's sweep (no-op here)."""

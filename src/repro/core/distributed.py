@@ -2,30 +2,34 @@
 
 HyPC-Map [Faysal et al., HPEC 2021] combines shared-memory threads with
 MPI ranks; the distributed side partitions vertices across ranks, runs
-local move passes against possibly-stale remote module information, and
-exchanges membership updates each superstep.  This module simulates that
-execution: every rank owns a contiguous vertex block, sees *ghost* copies
-of remote modules refreshed only at superstep boundaries, and pays for
-communication through a standard latency–bandwidth (α–β) network model.
+local move passes against remote module information that is only as
+fresh as the last exchange, and exchanges membership updates each
+superstep.  A round of the shared BSP schedule (:mod:`repro.core.bsp`)
+already *is* that superstep: every rank (a shard of the edge-balanced
+block split) proposes against the round-start snapshot — its ghosts are
+fully stale until the barrier — and the driver commits behind the
+barrier.  This module runs that schedule with a propose backend that
+only *accounts*, through a standard latency–bandwidth (α–β) network
+model.
 
-What this adds over :mod:`repro.core.multicore`: staleness (ghost module
-info lags by one superstep, like BSP), explicit message accounting
-(bytes/messages per superstep — the quantities a distributed-systems
-evaluation reports), and a communication-aware simulated runtime.
+What this adds over :mod:`repro.core.multicore`: explicit message
+accounting (bytes/messages per superstep — the quantities a
+distributed-systems evaluation reports) and a communication-aware
+simulated runtime.  The partition is the multicore engine's at seed 0;
+at whole-shard rounds it does not depend on the rank count, so only
+compute versus communication time varies with ``num_ranks``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.accum.plain import PlainDictAccumulator
-from repro.core.flow import FlowNetwork
-from repro.core.mapequation import MapEquation
-from repro.core.supernode import convert_to_supernodes
+from repro.core import bsp
 from repro.graph.csr import CSRGraph
-from repro.util.entropy import plogp_array
+from repro.obs.spans import trace_span
 
 __all__ = [
     "run_infomap_distributed",
@@ -112,6 +116,16 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_finite_real(x) -> bool:
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
+def _require(ok: bool, what: str, got) -> None:
+    if not ok:
+        raise ValueError(f"{what}, got {got!r}")
+
+
 def validate_distributed_params(
     num_ranks: int = 4,
     tau: float = 0.15,
@@ -131,167 +145,84 @@ def validate_distributed_params(
     the alignment this dormant seed needs before the gateway's shard
     router can grow a cross-host story on top of it.
     """
-    if not _is_int(num_ranks) or num_ranks < 1:
+    _require(_is_int(num_ranks) and num_ranks >= 1,
+             "num_ranks must be an int >= 1", num_ranks)
+    _require(_is_finite_real(tau) and 0.0 < tau < 1.0,
+             "tau must be in (0, 1)", tau)
+    _require(_is_int(max_levels) and max_levels >= 1,
+             "max_levels must be an int >= 1", max_levels)
+    _require(_is_int(max_supersteps_per_level)
+             and max_supersteps_per_level >= 1,
+             "max_supersteps_per_level must be an int >= 1",
+             max_supersteps_per_level)
+    _require(_is_finite_real(compute_rate_ops_per_s)
+             and compute_rate_ops_per_s > 0,
+             "compute_rate_ops_per_s must be positive finite ops/s",
+             compute_rate_ops_per_s)
+    if network is None:
+        return
+    if not isinstance(network, NetworkModel):
         raise ValueError(
-            f"num_ranks must be an int >= 1, got {num_ranks!r}"
+            f"network must be a NetworkModel, got {type(network).__name__}"
         )
-    if not (isinstance(tau, (int, float)) and not isinstance(tau, bool)
-            and 0.0 < tau < 1.0):
-        raise ValueError(f"tau must be in (0, 1), got {tau!r}")
-    if not _is_int(max_levels) or max_levels < 1:
-        raise ValueError(
-            f"max_levels must be an int >= 1, got {max_levels!r}"
-        )
-    if not _is_int(max_supersteps_per_level) or max_supersteps_per_level < 1:
-        raise ValueError(
-            f"max_supersteps_per_level must be an int >= 1, "
-            f"got {max_supersteps_per_level!r}"
-        )
-    if not (isinstance(compute_rate_ops_per_s, (int, float))
-            and not isinstance(compute_rate_ops_per_s, bool)
-            and 0 < compute_rate_ops_per_s < float("inf")):
-        raise ValueError(
-            f"compute_rate_ops_per_s must be positive finite ops/s, "
-            f"got {compute_rate_ops_per_s!r}"
-        )
-    if network is not None:
-        if not isinstance(network, NetworkModel):
-            raise ValueError(
-                f"network must be a NetworkModel, "
-                f"got {type(network).__name__}"
-            )
-        if not (network.latency_s >= 0):
-            raise ValueError(
-                f"network latency_s must be >= 0, got {network.latency_s!r}"
-            )
-        if not (network.bandwidth_Bps > 0):
-            raise ValueError(
-                f"network bandwidth_Bps must be positive, "
-                f"got {network.bandwidth_Bps!r}"
-            )
-        if not _is_int(network.record_bytes) or network.record_bytes < 1:
-            raise ValueError(
-                f"network record_bytes must be an int >= 1, "
-                f"got {network.record_bytes!r}"
-            )
+    _require(_is_finite_real(network.latency_s) and network.latency_s >= 0,
+             "network latency_s must be finite seconds >= 0",
+             network.latency_s)
+    _require(_is_finite_real(network.bandwidth_Bps)
+             and network.bandwidth_Bps > 0,
+             "network bandwidth_Bps must be positive finite bytes/s",
+             network.bandwidth_Bps)
+    _require(_is_int(network.record_bytes) and network.record_bytes >= 1,
+             "network record_bytes must be an int >= 1",
+             network.record_bytes)
 
 
-def _rank_blocks(n: int, arcs_per_vertex: np.ndarray, ranks: int) -> list[np.ndarray]:
-    cum = np.cumsum(arcs_per_vertex)
-    total = cum[-1] if len(cum) else 0
-    bounds = [0]
-    for r in range(1, ranks):
-        bounds.append(int(np.searchsorted(cum, total * r / ranks)))
-    bounds.append(n)
-    return [
-        np.arange(bounds[r], max(bounds[r], bounds[r + 1]), dtype=np.int64)
-        for r in range(ranks)
-    ]
+class _RankLedger(bsp.InprocessSweep):
+    """α–β accounting around the in-process propose; computes nothing else.
 
-
-def _local_pass(
-    net: FlowNetwork,
-    block: np.ndarray,
-    ghost_module: np.ndarray,
-    local_module: np.ndarray,
-    module_enter: np.ndarray,
-    module_exit: np.ndarray,
-    module_flow: np.ndarray,
-    sum_enter: float,
-) -> list[tuple[int, int]]:
-    """One rank's local move pass against a stale module view.
-
-    ``ghost_module`` is the superstep-start snapshot used for *remote*
-    vertices; ``local_module`` carries the rank's own fresh updates, and
-    the module-statistics arrays (rank-local copies) are updated as the
-    rank moves its own vertices — exactly the "locally fresh, remotely
-    stale" consistency distributed Infomap implementations run with.
-    Conflicting cross-rank moves are reconciled by the caller's global
-    verification.  Returns the (vertex, new_module) updates.
+    Each shard the driver hands :meth:`propose` is one rank's share of
+    the round.  Per round, every rank with proposals broadcasts them to
+    its ``num_ranks - 1`` peers (one message each, ``proposals ×
+    record_bytes`` bytes; module statistics piggyback on the same
+    exchange), and the round's compute time is the slowest rank's shard
+    arcs over ``compute_rate``.  The engine runs whole-shard rounds, so
+    each pass is one round and one superstep.
     """
-    from repro.util.entropy import plogp
 
-    acc = PlainDictAccumulator()
-    updates: list[tuple[int, int]] = []
-    own = np.zeros(net.num_vertices, dtype=bool)
-    own[block] = True
+    engine = "distributed"
 
-    for v in block.tolist():
-        idx, flows = net.out_arcs(v)
-        acc.begin(len(idx))
-        for t, f in zip(idx.tolist(), flows.tolist()):
-            if t == v:
-                continue
-            m = local_module[t] if own[t] else ghost_module[t]
-            acc.accumulate(int(m), f)
-        out_to = dict(acc.items())
-        acc.finish()
-        cur = int(local_module[v])
-        o_old = out_to.get(cur, 0.0)
-        p_n = float(net.node_flow[v])
-        out_n = float(net.node_out[v])
-        in_n = float(net.node_in[v])
+    def __init__(
+        self, num_ranks: int, compute_rate: float, network: NetworkModel
+    ) -> None:
+        self.peers = num_ranks - 1
+        self.compute_rate = compute_rate
+        self.network = network
+        #: (messages, bytes, compute s, comm s) per superstep, in the
+        #: order of :class:`SuperstepRecord`'s accounting fields
+        self.tallies: list[tuple[int, int, float, float]] = []
 
-        best_dl, best_m = 0.0, cur
-        best_state = None
-        for m, o_new in out_to.items():
-            if m == cur:
-                continue
-            exit_old = module_exit[cur] - (out_n - o_old) + o_old
-            enter_old = module_enter[cur] - (in_n - o_old) + o_old
-            exit_new = module_exit[m] + (out_n - o_new) - o_new
-            enter_new = module_enter[m] + (in_n - o_new) - o_new
-            flow_old = module_flow[cur] - p_n
-            flow_new = module_flow[m] + p_n
-            s_new = sum_enter + enter_old + enter_new - module_enter[cur] - module_enter[m]
-            dl = (
-                plogp(max(s_new, 0.0)) - plogp(sum_enter)
-                - (plogp(max(enter_old, 0.0)) + plogp(max(enter_new, 0.0))
-                   - plogp(module_enter[cur]) - plogp(module_enter[m]))
-                - (plogp(max(exit_old, 0.0)) + plogp(max(exit_new, 0.0))
-                   - plogp(module_exit[cur]) - plogp(module_exit[m]))
-                + (plogp(max(exit_old + flow_old, 0.0))
-                   + plogp(max(exit_new + flow_new, 0.0))
-                   - plogp(module_exit[cur] + module_flow[cur])
-                   - plogp(module_exit[m] + module_flow[m]))
-            )
-            if dl < best_dl - 1e-12:
-                best_dl, best_m = dl, m
-                best_state = (
-                    exit_old, enter_old, flow_old,
-                    exit_new, enter_new, flow_new, s_new,
-                )
-        if best_m != cur and best_state is not None:
-            (
-                exit_old, enter_old, flow_old,
-                exit_new, enter_new, flow_new, s_new,
-            ) = best_state
-            # rank-local stats refresh (remote contributions stay stale)
-            module_exit[cur] = max(exit_old, 0.0)
-            module_enter[cur] = max(enter_old, 0.0)
-            module_flow[cur] = max(flow_old, 0.0)
-            module_exit[best_m] = exit_new
-            module_enter[best_m] = enter_new
-            module_flow[best_m] = flow_new
-            sum_enter = max(s_new, 0.0)
-            local_module[v] = best_m
-            updates.append((v, int(best_m)))
-    return updates
+    def begin_level(self, net, level, blocks, ws) -> None:
+        super().begin_level(net, level, blocks, ws)
+        self.arcs = np.diff(net.indptr)
 
+    def propose(self, shards, module, enter, exit_, flow):
+        verts, targets = super().propose(shards, module, enter, exit_, flow)
+        sent = bsp.block_owner_counts(self.blocks, verts)
+        record = self.network.record_bytes
+        slowest = max(int(self.arcs[shard].sum()) for _, shard in shards)
+        self.tallies.append((
+            self.peers * int(np.count_nonzero(sent)),
+            self.peers * int(sent.sum()) * record,
+            slowest / self.compute_rate,
+            # a rank injects to its peers one after another; the round
+            # waits for the rank with the largest payload
+            self.peers * self.network.transfer_seconds(int(sent.max()) * record),
+        ))
+        return verts, targets
 
-def _global_state(
-    net: FlowNetwork, module: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-    n = net.num_vertices
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(net.indptr))
-    cross = module[src] != module[net.indices]
-    exit_ = np.bincount(module[src[cross]], weights=net.arc_flow[cross], minlength=n)
-    enter = np.bincount(
-        module[net.indices[cross]], weights=net.arc_flow[cross], minlength=n
-    )
-    flow = np.bincount(module, weights=net.node_flow, minlength=n)
-    length = MapEquation.codelength(enter, exit_, flow, net.node_flow)
-    return enter, exit_, flow, float(enter.sum()), length
+    def end_pass(self, rounds: int) -> float:
+        _, _, compute, comm = self.tallies[-1]
+        return compute + comm
 
 
 def run_infomap_distributed(
@@ -305,13 +236,14 @@ def run_infomap_distributed(
 ) -> DistributedResult:
     """Simulate BSP distributed Infomap over ``num_ranks`` ranks.
 
-    Per superstep: every rank sweeps its own vertices against the
-    superstep-start snapshot of remote memberships, then broadcasts its
-    membership updates (one message per peer rank); module statistics are
-    reconsolidated globally (allreduce folded into the same exchange).
-    A superstep that makes the global codelength worse (conflicting
-    concurrent moves) is rolled back with a halved acceptance, mirroring
-    the damping used by distributed implementations.
+    Runs the shared schedule (:func:`repro.core.bsp.run_bsp_infomap`)
+    with ``num_ranks`` shards, one superstep per pass: every rank
+    proposes its vertices' best moves against the superstep-start
+    snapshot, then broadcasts its proposals (one message per peer rank);
+    module statistics are reconsolidated behind the barrier, where the
+    driver's seeded backoff halves a conflicting move set until the
+    codelength improves.  ``max_supersteps_per_level`` caps the passes
+    per level; the backoff seed is fixed at 0.
     """
     if not isinstance(graph, CSRGraph):
         raise ValueError(
@@ -322,113 +254,22 @@ def run_infomap_distributed(
         max_supersteps_per_level=max_supersteps_per_level,
         compute_rate_ops_per_s=compute_rate_ops_per_s, network=network,
     )
-    network = network or NetworkModel()
-    net = FlowNetwork.from_graph(graph, tau=tau)
-
-    n0 = graph.num_vertices
-    mapping = np.arange(n0, dtype=np.int64)
-    rng = np.random.default_rng(0)
-    supersteps: list[SuperstepRecord] = []
-    levels = 0
-    step_no = 0
-    length = MapEquation.one_level_codelength(net.node_flow)
-    node_flow_log0 = -length
-    flat_length = length
-
-    for level in range(max_levels):
-        levels = level + 1
-        n = net.num_vertices
-        module = np.arange(n, dtype=np.int64)
-        blocks = _rank_blocks(n, np.diff(net.indptr), num_ranks)
-        node_flow_log_level = float(plogp_array(net.node_flow).sum())
-        enter, exit_, flow, sum_enter, length = _global_state(net, module)
-        flat_length = length + node_flow_log_level - node_flow_log0
-
-        for _step in range(max_supersteps_per_level):
-            ghost = module.copy()
-            local = module.copy()
-            all_updates: list[tuple[int, int]] = []
-            per_rank_updates: list[int] = []
-            for block in blocks:
-                # each rank works on its own copy of the module statistics
-                ups = _local_pass(
-                    net, block, ghost, local,
-                    enter.copy(), exit_.copy(), flow.copy(), sum_enter,
-                )
-                all_updates.extend(ups)
-                per_rank_updates.append(len(ups))
-            if not all_updates:
-                break
-
-            # conflict resolution: accept, verify, back off if worse
-            accepted = np.ones(len(all_updates), dtype=bool)
-            applied = False
-            for _backoff in range(6):
-                trial = module.copy()
-                for (v, m), a in zip(all_updates, accepted):
-                    if a:
-                        trial[v] = m
-                e2, x2, f2, s2, l2 = _global_state(net, trial)
-                if l2 < length - 1e-12:
-                    module, enter, exit_, flow, sum_enter, length = (
-                        trial, e2, x2, f2, s2, l2
-                    )
-                    flat_length = length + node_flow_log_level - node_flow_log0
-                    applied = True
-                    break
-                accepted &= rng.random(len(all_updates)) < 0.5
-                if not accepted.any():
-                    break
-
-            # communication accounting: each rank broadcasts its updates
-            # to the other ranks (module stats consolidation piggybacks)
-            msgs = 0
-            max_rank_comm = 0.0
-            for upd_count in per_rank_updates:
-                if num_ranks == 1:
-                    break
-                payload = upd_count * network.record_bytes
-                rank_comm = sum(
-                    network.transfer_seconds(payload)
-                    for _ in range(num_ranks - 1)
-                )
-                msgs += (num_ranks - 1) if upd_count else 0
-                max_rank_comm = max(max_rank_comm, rank_comm)
-            ops = sum(
-                int(net.indptr[b[-1] + 1] - net.indptr[b[0]]) if len(b) else 0
-                for b in blocks
-            )
-            compute_s = (ops / max(num_ranks, 1)) / compute_rate_ops_per_s
-            step_no += 1
-            supersteps.append(
-                SuperstepRecord(
-                    superstep=step_no,
-                    level=level,
-                    moves=int(sum(accepted)) if applied else 0,
-                    codelength=flat_length,
-                    messages=msgs,
-                    bytes_sent=sum(per_rank_updates) * network.record_bytes
-                    * max(0, num_ranks - 1),
-                    compute_seconds=compute_s,
-                    comm_seconds=max_rank_comm,
-                )
-            )
-            if not applied:
-                break
-
-        uniq, dense = np.unique(module, return_inverse=True)
-        k = len(uniq)
-        if k == n:
-            break
-        mapping = dense.astype(np.int64)[mapping]
-        net = convert_to_supernodes(net, dense.astype(np.int64), k)
-
-    uniq, final = np.unique(mapping, return_inverse=True)
+    ledger = _RankLedger(
+        num_ranks, compute_rate_ops_per_s, network or NetworkModel()
+    )
+    with trace_span("infomap.run", engine="distributed", ranks=num_ranks):
+        outcome = bsp.run_bsp_infomap(
+            graph, ledger, num_ranks, tau=tau, max_levels=max_levels,
+            max_passes_per_level=max_supersteps_per_level,
+        )
     return DistributedResult(
-        modules=final.astype(np.int64),
-        num_modules=len(uniq),
-        codelength=flat_length,
-        levels=levels,
+        modules=outcome.modules,
+        num_modules=outcome.num_modules,
+        codelength=outcome.codelength,
+        levels=outcome.levels,
         num_ranks=num_ranks,
-        supersteps=supersteps,
+        supersteps=[
+            SuperstepRecord(i + 1, p.level, p.applied, p.codelength, *tally)
+            for i, (p, tally) in enumerate(zip(outcome.passes, ledger.tallies))
+        ],
     )

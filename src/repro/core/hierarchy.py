@@ -162,7 +162,7 @@ def _two_level_on_net(
     net: FlowNetwork, max_levels: int = 10, max_passes: int = 10
 ) -> np.ndarray:
     """Multilevel local-move optimization; returns a dense assignment."""
-    from repro.core.infomap import _active_set
+    from repro.core.bsp import active_neighborhood
 
     ctx = HardwareContext(baseline_machine())
     stats = KernelStats()
@@ -176,7 +176,7 @@ def _two_level_on_net(
             moves, moved = find_best_pass(partition, acc, ctx, stats, active)
             if moves == 0:
                 break
-            active = _active_set(current, moved)
+            active = active_neighborhood(current, np.asarray(moved, np.int64))
         dense, k = partition.dense_assignment()
         if k == current.num_vertices:
             break

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.accum.factory import make_accumulator
 from repro.core.accumulate import validate_accumulator
+from repro.core.bsp import active_neighborhood
 from repro.core.faults import FaultPlan
 from repro.core.findbest import find_best_pass
 from repro.core.flow import FlowNetwork
@@ -477,7 +478,7 @@ def _run_infomap(
             if moves == 0:
                 break
             if worklist:
-                active = _active_set(net, moved)
+                active = active_neighborhood(net, np.asarray(moved, np.int64))
             else:
                 active = None
 
@@ -523,21 +524,6 @@ def _run_infomap(
         pagerank_iterations=pagerank_iters,
         telemetry=telemetry,
     )
-
-
-def _active_set(net: FlowNetwork, moved: list[int]) -> np.ndarray:
-    """Vertices to revisit next pass: movers plus their neighbourhoods."""
-    if not moved:
-        return np.empty(0, dtype=np.int64)
-    moved_arr = np.asarray(moved, dtype=np.int64)
-    parts = [moved_arr]
-    for v in moved:
-        lo, hi = net.indptr[v], net.indptr[v + 1]
-        parts.append(net.indices[lo:hi])
-        if net.directed:
-            tlo, thi = net.t_indptr[v], net.t_indptr[v + 1]
-            parts.append(net.t_indices[tlo:thi])
-    return np.unique(np.concatenate(parts))
 
 
 def _densify(

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.accum.factory import make_accumulator
-from repro.core.bsp import InprocessSweep, run_bsp_infomap
+from repro.core.bsp import InprocessSweep, block_owner_counts, run_bsp_infomap
 from repro.core.findbest import find_best_pass
 from repro.core.flow import FlowNetwork
 from repro.core.infomap import IterationRecord, _charge_pagerank
@@ -174,7 +174,6 @@ class _SimulatedCores(InprocessSweep):
         self._barrier_s = machine.barrier_cycles / machine.freq_hz
         self._temp_ctx = HardwareContext(machine, core_id=num_cores)
         self.net: FlowNetwork | None = None
-        self._block_bounds: np.ndarray | None = None
         self._acct: Partition | None = None
         self._pass_before: list[float] = []
 
@@ -186,17 +185,8 @@ class _SimulatedCores(InprocessSweep):
         _distribute(self.stats, temp_stats)
 
     def begin_level(self, net, level, blocks, ws) -> None:
+        super().begin_level(net, level, blocks, ws)
         self.net = net
-        self.ws = ws
-        # right edge (exclusive) of each core's contiguous vertex block,
-        # for attributing committed moves to their owning core
-        bounds = []
-        prev = 0
-        for b in blocks:
-            if len(b):
-                prev = int(b[-1]) + 1
-            bounds.append(prev)
-        self._block_bounds = np.array(bounds, dtype=np.int64)
 
     def begin_pass(self, module: np.ndarray) -> None:
         # pass-start snapshot the accounting sweeps replay against
@@ -227,10 +217,7 @@ class _SimulatedCores(InprocessSweep):
 
     def on_commit(self, applied: np.ndarray) -> None:
         # UpdateMembers: each applied move is charged to its owning core
-        counts = np.bincount(
-            np.searchsorted(self._block_bounds, applied, side="right"),
-            minlength=self.num_cores,
-        )
+        counts = block_owner_counts(self.blocks, applied)
         n = self.net.num_vertices
         for p in range(self.num_cores):
             cnt = int(counts[p])

@@ -120,6 +120,19 @@ class TestValidationAlignment:
             run_infomap_distributed(
                 g, network=NetworkModel(record_bytes=0)
             )
+        # non-real, bool and non-finite link parameters name their field
+        # too, instead of a TypeError from a comparison or an infinite
+        # comm time on every superstep
+        for bad in ("1", None, True, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="latency_s"):
+                validate_distributed_params(
+                    network=NetworkModel(latency_s=bad)
+                )
+        for bad in ("x", None, True, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="bandwidth_Bps"):
+                validate_distributed_params(
+                    network=NetworkModel(bandwidth_Bps=bad)
+                )
 
     def test_bad_graph_rejected(self):
         with pytest.raises(ValueError, match="CSRGraph"):
@@ -154,3 +167,51 @@ class TestValidationAlignment:
         g, _ = ring_of_cliques(3, 4)
         rd = run_infomap_distributed(g, num_ranks=2)
         assert "ranks" in rd.summary()
+
+
+class TestSharedSchedule:
+    """The engine is the shared BSP driver plus α–β accounting."""
+
+    def test_every_run_goes_through_the_bsp_driver(self, monkeypatch):
+        from repro.core import bsp
+
+        calls = []
+        real = bsp.run_bsp_infomap
+
+        def spy(graph, backend, num_cores, **kw):
+            calls.append((backend.engine, num_cores, kw))
+            return real(graph, backend, num_cores, **kw)
+
+        monkeypatch.setattr(bsp, "run_bsp_infomap", spy)
+        g, _ = ring_of_cliques(4, 5)
+        run_infomap_distributed(g, num_ranks=3, max_supersteps_per_level=7)
+        assert len(calls) == 1
+        engine, cores, kw = calls[0]
+        assert (engine, cores) == ("distributed", 3)
+        assert kw["max_passes_per_level"] == 7
+
+    def test_partition_rank_independent_at_whole_shard_rounds(self):
+        g, _ = planted_partition(5, 25, 0.4, 0.02, seed=7)
+        base = run_infomap_distributed(g, num_ranks=1)
+        for ranks in (2, 3, 8):
+            rd = run_infomap_distributed(g, num_ranks=ranks)
+            assert np.array_equal(rd.modules, base.modules), ranks
+            assert rd.codelength == base.codelength, ranks
+            assert len(rd.supersteps) == len(base.supersteps), ranks
+
+    def test_broadcast_accounting(self):
+        g, _ = planted_partition(5, 25, 0.4, 0.02, seed=7)
+        net = NetworkModel(latency_s=1e-6, bandwidth_Bps=1e9, record_bytes=8)
+        ranks = 4
+        rd = run_infomap_distributed(g, num_ranks=ranks, network=net)
+        for s in rd.supersteps:
+            # each rank with proposals sends one message to each peer
+            assert s.messages % (ranks - 1) == 0
+            assert s.messages <= ranks * (ranks - 1)
+            assert s.bytes_sent % ((ranks - 1) * net.record_bytes) == 0
+            # the busiest rank injects to its peers back to back
+            assert s.comm_seconds >= (ranks - 1) * net.latency_s
+            assert (s.messages == 0) == (s.bytes_sent == 0)
+        assert [s.superstep for s in rd.supersteps] == list(
+            range(1, len(rd.supersteps) + 1)
+        )

@@ -1,6 +1,6 @@
 """Cross-engine conformance suite.
 
-The repo ships four Infomap engines that all minimize the same map
+The repo ships five Infomap engines that all minimize the same map
 equation over the same flow model:
 
 ======================  ===============================================
@@ -13,6 +13,8 @@ engine                  schedule
 ``parallel+faultplan``  ``parallel`` under seeded injected worker
                         faults (kill/hang/slow/corrupt) — recovery must
                         be invisible (see tests/test_fault_injection.py)
+``distributed``         same BSP schedule on P simulated *ranks*, plus
+                        α–β message/byte accounting per superstep
 ======================  ===============================================
 
 This suite pins the contract between them:
@@ -23,6 +25,8 @@ This suite pins the contract between them:
 * ``parallel(P=k)`` is **bit-identical** to ``multicore(P=k)`` at the
   same seed — the two backends share the driver in
   :mod:`repro.core.bsp`, so any divergence is a real bug;
+* ``distributed(k)`` is bit-identical to ``multicore(P=k)`` at seed 0
+  and its 12-superstep cap — its backend only accounts;
 * the shard-restricted sweep ``Workspace.best_moves(verts=...)`` equals
   the full sweep filtered to the shard (the property the BSP engines'
   correctness rests on);
@@ -37,6 +41,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.core.distributed import run_infomap_distributed
 from repro.core.faults import FaultPlan
 from repro.core.flow import FlowNetwork
 from repro.core.infomap import run_infomap
@@ -143,6 +148,9 @@ ENGINES = {
     "parallel+bounded": lambda g, seed: run_infomap_parallel(
         g, workers=2, seed=seed, accumulator="bounded"
     ),
+    # the BSP schedule on 2 simulated ranks with α–β accounting; its
+    # backoff seed is fixed at 0, so the column ignores ``seed``
+    "distributed": lambda g, seed: run_infomap_distributed(g, num_ranks=2),
 }
 
 SEEDS = (0, 1)
@@ -242,6 +250,21 @@ def test_parallel_bit_identical_with_chunked_rounds():
     rp = run_infomap_parallel(g, workers=2, seed=5, chunk=16)
     assert np.array_equal(rp.modules, rm.modules)
     assert rp.codelength == rm.codelength
+
+
+@pytest.mark.parametrize("ranks", (1, 2, 4))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_distributed_bit_identical_to_multicore(family, ranks):
+    # the distributed engine is the same schedule with an accounting-only
+    # backend: at seed 0 and its 12-superstep cap it is multicore(P=k)
+    g, _ = FAMILIES[family](0)
+    rd = run_infomap_distributed(g, num_ranks=ranks)
+    rm = run_infomap_multicore(
+        g, num_cores=ranks, seed=0, max_passes_per_level=12
+    )
+    assert np.array_equal(rd.modules, rm.modules)
+    assert rd.codelength == rm.codelength
+    assert rd.levels == rm.levels
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,20 @@ class TestExamples:
         out = capsys.readouterr().out
         assert "incremental refresh" in out.lower()
 
+    def test_distributed_scaling(self, capsys):
+        _run("distributed_scaling.py")
+        out = capsys.readouterr().out
+        assert "BSP scaling" in out
+        rows = [
+            [cell.strip() for cell in line.split("|")]
+            for line in out.splitlines()
+            if line.split("|")[0].strip().isdigit()
+        ]
+        assert [int(r[0]) for r in rows] == [1, 2, 4, 8, 16]
+        messages = [int(r[5]) for r in rows]
+        assert messages[0] == 0  # one rank has no peers
+        assert all(a < b for a, b in zip(messages, messages[1:]))
+
     @pytest.mark.parametrize(
         "name",
         [
