@@ -31,8 +31,8 @@ import numpy as np
 from _record import bench_record, write_bench
 from repro.core.faults import SLOW_SECONDS, FaultPlan, FaultSpec
 from repro.core.parallel import run_infomap_parallel
+from repro.graph import graph_digest
 from repro.graph.generators import planted_partition
-from repro.obs.ledger import graph_digest
 from repro.util.tables import Table
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent

@@ -39,7 +39,7 @@ from pathlib import Path
 import pytest
 
 from _record import bench_record, write_bench
-from repro.obs.ledger import graph_digest
+from repro.graph import graph_digest
 from repro.graph.generators import planted_partition
 from repro.service import JobService, JobSpec
 from repro.service.gateway import Gateway, GatewayConfig, graph_to_wire

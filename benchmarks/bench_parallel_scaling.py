@@ -39,9 +39,9 @@ import pytest
 
 from _record import bench_record, update_bench
 from repro.core.parallel import run_infomap_parallel
+from repro.graph import graph_digest
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import planted_partition
-from repro.obs.ledger import graph_digest
 from repro.util.tables import Table
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent

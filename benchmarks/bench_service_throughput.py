@@ -38,8 +38,8 @@ import pytest
 
 from _record import bench_record, write_bench
 from repro.core.parallel import run_infomap_parallel
+from repro.graph import graph_digest
 from repro.graph.generators import planted_partition
-from repro.obs.ledger import graph_digest
 from repro.service import JobService, JobSpec
 from repro.util.tables import Table
 

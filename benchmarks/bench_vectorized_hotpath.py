@@ -44,7 +44,7 @@ import pytest
 
 from _record import bench_record, write_bench
 from repro.core.flow import FlowNetwork
-from repro.obs.ledger import graph_digest
+from repro.graph import graph_digest
 from repro.core.vectorized import (
     Workspace,
     _best_moves,

@@ -54,6 +54,7 @@ import numpy as np
 
 from repro.core.infomap import run_infomap
 from repro.core.multicore import run_infomap_multicore
+from repro.core.runspec import ENGINES, SERVING_ENGINES, RunSpec
 from repro.graph.datasets import TABLE1_ORDER, load_dataset
 from repro.graph.io import read_edge_list
 from repro.graph.stream import recipe_names as stream_recipe_names
@@ -100,8 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("plain", "softhash", "robinhood", "asa"),
     )
     runp.add_argument(
-        "--engine", default="sequential",
-        choices=("sequential", "vectorized", "multicore", "parallel"),
+        "--engine", default="sequential", choices=ENGINES,
         help="'sequential' = instrumented engine with hardware accounting; "
         "'vectorized' = batched numpy fast path (no accounting, much "
         "faster wall clock on large graphs); 'multicore' = BSP schedule "
@@ -220,8 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
                       '\'{"communities": 4, "size": 20, "p_in": 0.45, '
                       '"p_out": 0.02, "seed": 7}\'')
     smt.add_argument("--directed", action="store_true")
-    smt.add_argument("--engine", default="parallel",
-                     choices=("vectorized", "multicore", "parallel"))
+    smt.add_argument("--engine", default="parallel", choices=SERVING_ENGINES)
     smt.add_argument("--workers", type=int, default=None, metavar="N")
     smt.add_argument("--seed", type=int, default=0)
     smt.add_argument("--tau", type=float, default=None)
@@ -378,15 +377,15 @@ def _validate_run_args(
 
     try:
         validate_engine_args(
-            args.engine,
-            workers=args.workers,
-            accumulator=args.accumulator,
+            RunSpec.resolve(args.engine, workers=args.workers, tau=args.tau,
+                            accumulator=args.accumulator),
+            engines=ENGINES,
             fault_plan=args.fault_plan,
             worker_timeout=args.worker_timeout,
         )
     except ValueError as exc:
         given = [("--engine", args.engine), ("--workers", args.workers),
-                 ("--fault-plan", args.fault_plan),
+                 ("--tau", args.tau), ("--fault-plan", args.fault_plan),
                  ("--worker-timeout", args.worker_timeout)]
         if args.accumulator != "reduceat":
             given.append(("--accumulator", args.accumulator))
@@ -506,6 +505,7 @@ def _run_on_graph(
 ) -> int:
     import time
 
+    from repro.graph import graph_digest
     from repro.obs import ledger as obs_ledger
 
     print(f"Graph: {graph.name} ({graph.num_vertices} vertices, "
@@ -518,7 +518,7 @@ def _run_on_graph(
             return
         config = {
             "command": "run",
-            "graph": digest or obs_ledger.graph_digest(graph),
+            "graph": digest or graph_digest(graph),
             "engine": args.engine,
             "backend": args.backend,
             "workers": args.workers or args.cores,
@@ -763,7 +763,7 @@ def _cmd_serve_listen(args: argparse.Namespace) -> int:
 
 def _cmd_submit(args: argparse.Namespace) -> int:
     """Append one shape-checked job line to a JSONL jobs file."""
-    from repro.service.jobsfile import append_job
+    from repro.service.jobsfile import _SPEC_KEYS, append_job
 
     obj: dict = {}
     if args.dataset:
@@ -781,10 +781,11 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     obj["engine"] = args.engine
     if args.engine == "vectorized" and args.workers is None:
         obj["workers"] = 1
-    for key in ("workers", "seed", "tau", "accumulator", "priority",
-                "deadline", "fault_plan", "worker_timeout", "label"):
-        value = getattr(args, key)
-        if value is not None:
+    # every JobSpec field with a flag of its own; --no-cache, --delta
+    # and --base-key are spelled differently and handled below
+    for key in _SPEC_KEYS:
+        value = getattr(args, key, None)
+        if value is not None and key not in ("delta", "base_key"):
             obj[key] = value
     if args.no_cache:
         obj["use_cache"] = False

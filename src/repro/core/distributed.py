@@ -22,14 +22,15 @@ compute versus communication time varies with ``num_ranks``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core import bsp
+from repro.core.runspec import check_count, check_tau
 from repro.graph.csr import CSRGraph
 from repro.obs.spans import trace_span
+from repro.util.validation import is_finite_real, is_int, require
 
 __all__ = [
     "run_infomap_distributed",
@@ -112,20 +113,6 @@ class DistributedResult:
         )
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_finite_real(x) -> bool:
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and math.isfinite(x))
-
-
-def _require(ok: bool, what: str, got) -> None:
-    if not ok:
-        raise ValueError(f"{what}, got {got!r}")
-
-
 def validate_distributed_params(
     num_ranks: int = 4,
     tau: float = 0.15,
@@ -138,43 +125,32 @@ def validate_distributed_params(
 
     Everything a caller can get wrong fails *here*, with a readable
     reason — never as a ``TypeError``/``IndexError`` deep inside the
-    superstep loop.  This is the same two-layer contract the serving
-    stack runs on (:meth:`repro.service.jobs.JobSpec.validate`):
-    validation raises ``ValueError``, and admission control converts it
-    into a structured rejection instead of letting it escape a batch —
-    the alignment this dormant seed needs before the gateway's shard
-    router can grow a cross-host story on top of it.
+    superstep loop.  The tau, level and pass checks are
+    :class:`~repro.core.runspec.RunSpec`'s, the ones every served job
+    and engine call runs.
     """
-    _require(_is_int(num_ranks) and num_ranks >= 1,
-             "num_ranks must be an int >= 1", num_ranks)
-    _require(_is_finite_real(tau) and 0.0 < tau < 1.0,
-             "tau must be in (0, 1)", tau)
-    _require(_is_int(max_levels) and max_levels >= 1,
-             "max_levels must be an int >= 1", max_levels)
-    _require(_is_int(max_supersteps_per_level)
-             and max_supersteps_per_level >= 1,
-             "max_supersteps_per_level must be an int >= 1",
-             max_supersteps_per_level)
-    _require(_is_finite_real(compute_rate_ops_per_s)
-             and compute_rate_ops_per_s > 0,
-             "compute_rate_ops_per_s must be positive finite ops/s",
-             compute_rate_ops_per_s)
+    check_count("num_ranks", num_ranks)
+    check_tau(tau)
+    check_count("max_levels", max_levels)
+    check_count("max_supersteps_per_level", max_supersteps_per_level)
+    require(
+        is_finite_real(compute_rate_ops_per_s) and compute_rate_ops_per_s > 0,
+        "compute_rate_ops_per_s must be positive finite ops/s",
+        compute_rate_ops_per_s,
+    )
     if network is None:
         return
     if not isinstance(network, NetworkModel):
         raise ValueError(
             f"network must be a NetworkModel, got {type(network).__name__}"
         )
-    _require(_is_finite_real(network.latency_s) and network.latency_s >= 0,
-             "network latency_s must be finite seconds >= 0",
-             network.latency_s)
-    _require(_is_finite_real(network.bandwidth_Bps)
-             and network.bandwidth_Bps > 0,
-             "network bandwidth_Bps must be positive finite bytes/s",
-             network.bandwidth_Bps)
-    _require(_is_int(network.record_bytes) and network.record_bytes >= 1,
-             "network record_bytes must be an int >= 1",
-             network.record_bytes)
+    lat, bw, rec = network.latency_s, network.bandwidth_Bps, network.record_bytes
+    require(is_finite_real(lat) and lat >= 0,
+            "network latency_s must be finite seconds >= 0", lat)
+    require(is_finite_real(bw) and bw > 0,
+            "network bandwidth_Bps must be positive finite bytes/s", bw)
+    require(is_int(rec) and rec >= 1,
+            "network record_bytes must be an int >= 1", rec)
 
 
 class _RankLedger(bsp.InprocessSweep):

@@ -40,11 +40,14 @@ plus the multilevel fall-through) and the refresh falls back to the
 engine's standard from-scratch run — the measured ``full_rerun`` policy.
 Each refresh publishes ``dynamic.touched_vertices`` /
 ``dynamic.frontier_share`` / ``dynamic.full_reruns`` to the metrics
-registry and appends a ``kind="dynamic"`` row to the armed run ledger.
+registry and appends a ``kind="dynamic"`` row to the armed run ledger,
+keyed by its :class:`~repro.core.runspec.RunSpec` config — the one
+field set (over :data:`REFRESH_DEFAULTS`) that every refresh takes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 
@@ -54,11 +57,8 @@ import numpy as np
 # benchmark tracing wraps them by these names
 from repro.core.bsp import InprocessSweep as _InprocessSweep  # noqa: F401
 from repro.core.bsp import run_bsp_infomap  # noqa: F401
-from repro.core.infomap import (
-    BATCHED_ENGINES,
-    run_infomap,
-    validate_engine_args,
-)
+from repro.core.infomap import run_infomap, validate_engine_args
+from repro.core.runspec import BATCHED_ENGINES, RunSpec
 from repro.graph.build import from_edge_array
 from repro.graph.csr import CSRGraph
 from repro.obs import ledger as obs_ledger
@@ -77,6 +77,9 @@ __all__ = [
 #: restricted first pass plus the multilevel fall-through costs about
 #: as much as a cold run — see benchmarks/bench_dynamic.py)
 DEFAULT_FULL_RERUN_THRESHOLD = 0.25
+
+#: the run a refresh makes unless told otherwise: one in-process shard
+REFRESH_DEFAULTS = RunSpec(engine="vectorized", workers=1)
 
 
 @dataclass
@@ -123,18 +126,11 @@ def warm_refresh(
     labels: np.ndarray | None,
     dirty: np.ndarray,
     *,
-    engine: str = "vectorized",
-    workers: int = 1,
-    seed: int = 0,
-    tau: float = 0.15,
-    max_levels: int = 20,
-    max_passes: int = 10,
-    chunk: int | None = None,
-    accumulator: str = "reduceat",
     full_rerun_threshold: float = DEFAULT_FULL_RERUN_THRESHOLD,
     pool=None,
     deadline: float | None = None,
     worker_timeout: float | None = None,
+    **fields,
 ) -> RefreshResult:
     """One engine-backed refresh of ``graph`` from a previous partition.
 
@@ -146,9 +142,11 @@ def warm_refresh(
     dirty:
         Vertices whose incident edges changed since ``labels`` was
         computed.  Ignored when ``labels`` is ``None``.
-    engine / workers / seed / chunk / accumulator:
-        Which engine runs the refresh and its determinism coordinates;
-        a warm refresh is identical across engines at equal
+    **fields:
+        :class:`~repro.core.runspec.RunSpec` fields of the run (engine,
+        workers, seed, tau, max_levels, max_passes_per_level, chunk,
+        accumulator) over :data:`REFRESH_DEFAULTS`; any batched engine.
+        A warm refresh is identical across engines at equal
         ``workers``/``seed``/``chunk`` (the BSP schedule guarantee).
     full_rerun_threshold:
         Dirty-frontier share of the vertex set past which the warm
@@ -159,9 +157,9 @@ def warm_refresh(
         (``pool``/``worker_timeout``: ``engine="parallel"`` only) and
         cancels them (``deadline``: every engine).
     """
+    spec = dataclasses.replace(REFRESH_DEFAULTS, **fields)
     validate_engine_args(
-        engine, engines=BATCHED_ENGINES, workers=workers,
-        accumulator=accumulator, chunk=chunk, worker_timeout=worker_timeout,
+        spec, engines=BATCHED_ENGINES, worker_timeout=worker_timeout,
         pool=pool, deadline=deadline,
     )
     if not (0.0 < full_rerun_threshold <= 1.0):
@@ -194,9 +192,7 @@ def warm_refresh(
     # a full rerun is the engine's standard from-scratch run; a warm one
     # starts from the seeded labels and sweeps the frontier first
     r = run_infomap(
-        graph, engine=engine, workers=workers, shuffle_seed=seed, tau=tau,
-        max_levels=max_levels, max_passes_per_level=max_passes, chunk=chunk,
-        accumulator=accumulator, pool=pool, deadline=deadline,
+        graph, **spec.infomap_kwargs(), pool=pool, deadline=deadline,
         worker_timeout=worker_timeout, init_module=seeded,
         init_active=frontier if not full else None,
     )
@@ -214,10 +210,7 @@ def warm_refresh(
         seconds=seconds,
     )
     _publish_refresh(result)
-    _ledger_refresh(
-        graph, engine, workers, seed, tau, max_levels, max_passes, chunk,
-        accumulator, result,
-    )
+    _ledger_refresh(graph, spec, result)
     return result
 
 
@@ -233,29 +226,15 @@ def _publish_refresh(result: RefreshResult) -> None:
         reg.counter("dynamic.full_reruns").inc()
 
 
-def _ledger_refresh(
-    graph, engine, workers, seed, tau, max_levels, max_passes, chunk,
-    accumulator, result,
-) -> None:
+def _ledger_refresh(graph: CSRGraph, spec: RunSpec,
+                    result: RefreshResult) -> None:
     """One ``kind="dynamic"`` ledger row per refresh (when armed)."""
     if not obs_ledger.is_enabled():
         return
-    from repro.service.cache import graph_digest
-
     record = obs_ledger.make_record(
         kind="dynamic",
         source="dynamic",
-        config={
-            "graph": graph_digest(graph),
-            "engine": engine,
-            "workers": workers,
-            "seed": seed,
-            "tau": tau,
-            "max_levels": max_levels,
-            "max_passes_per_level": max_passes,
-            "chunk": chunk,
-            "accumulator": accumulator,
-        },
+        config=spec.config(graph),
         telemetry={
             "codelength": result.codelength,
             "num_modules": result.num_modules,
@@ -279,44 +258,32 @@ class DynamicCommunities:
         Fixed vertex universe (vertices may be isolated).
     directed:
         Edge direction semantics.
-    tau:
-        Teleportation for directed flows.
-    engine / workers / seed / chunk / accumulator:
-        Engine configuration every refresh runs with (see
-        :func:`warm_refresh`).
     full_rerun_threshold:
         Dirty-frontier share past which a refresh falls back to a full
         from-scratch run.
+    **fields:
+        :class:`~repro.core.runspec.RunSpec` fields every refresh runs
+        with (engine, workers, seed, tau, ...), over
+        :data:`REFRESH_DEFAULTS` (see :func:`warm_refresh`); kept as
+        :attr:`spec`.
     """
 
     def __init__(
         self,
         num_vertices: int,
         directed: bool = False,
-        tau: float = 0.15,
-        engine: str = "vectorized",
-        workers: int = 1,
-        seed: int = 0,
-        chunk: int | None = None,
-        accumulator: str = "reduceat",
+        *,
         full_rerun_threshold: float = DEFAULT_FULL_RERUN_THRESHOLD,
+        **fields,
     ):
         if num_vertices <= 0:
             raise ValueError("num_vertices must be positive")
-        validate_engine_args(
-            engine, engines=BATCHED_ENGINES, workers=workers,
-            accumulator=accumulator, chunk=chunk,
-        )
+        self.spec = dataclasses.replace(REFRESH_DEFAULTS, **fields)
+        validate_engine_args(self.spec, engines=BATCHED_ENGINES)
         if not (0.0 < full_rerun_threshold <= 1.0):
             raise ValueError("full_rerun_threshold must be in (0, 1]")
         self.num_vertices = num_vertices
         self.directed = directed
-        self.tau = tau
-        self.engine = engine
-        self.workers = workers
-        self.seed = seed
-        self.chunk = chunk
-        self.accumulator = accumulator
         self.full_rerun_threshold = full_rerun_threshold
         self._edges: dict[tuple[int, int], float] = {}
         self._dirty: set[int] = set()
@@ -374,8 +341,12 @@ class DynamicCommunities:
         )
 
     # ------------------------------------------------------------------
-    def refresh(self, max_passes: int = 10, max_levels: int = 20) -> RefreshResult:
-        """Re-optimize after pending updates.
+    def refresh(
+        self, *, max_passes_per_level: int | None = None
+    ) -> RefreshResult:
+        """Re-optimize after pending updates with :attr:`spec`;
+        ``max_passes_per_level`` caps this refresh's passes instead of
+        the spec's.
 
         First call (or after :attr:`modules` was reset) runs from
         scratch; subsequent calls warm-start from the previous
@@ -393,15 +364,6 @@ class DynamicCommunities:
             self.num_modules = self.num_vertices
             self.codelength = 0.0
             self.levels = 0
-            return RefreshResult(
-                modules=self.modules.copy(),
-                num_modules=self.num_modules,
-                codelength=0.0,
-                levels=0,
-                touched_vertices=0,
-                frontier_share=0.0,
-                full_rerun=False,
-            )
         if self.modules is not None and not self._dirty:
             return RefreshResult(
                 modules=self.modules.copy(),
@@ -416,12 +378,12 @@ class DynamicCommunities:
         dirty = np.fromiter(
             self._dirty, dtype=np.int64, count=len(self._dirty)
         )
+        fields = self.spec.run_fields()
+        if max_passes_per_level is not None:
+            fields["max_passes_per_level"] = max_passes_per_level
         result = warm_refresh(
             graph, self.modules, dirty,
-            engine=self.engine, workers=self.workers, seed=self.seed,
-            tau=self.tau, max_levels=max_levels, max_passes=max_passes,
-            chunk=self.chunk, accumulator=self.accumulator,
-            full_rerun_threshold=self.full_rerun_threshold,
+            full_rerun_threshold=self.full_rerun_threshold, **fields,
         )
         self.modules = result.modules.copy()
         self.num_modules = result.num_modules

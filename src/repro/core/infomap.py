@@ -17,19 +17,18 @@ from which :class:`InfomapResult` derives the per-kernel timing breakdown
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.accum.factory import make_accumulator
-from repro.core.accumulate import validate_accumulator
 from repro.core.bsp import active_neighborhood
 from repro.core.faults import FaultPlan
 from repro.core.findbest import find_best_pass
 from repro.core.flow import FlowNetwork
 from repro.core.partition import Partition
+from repro.core.runspec import BATCHED_ENGINES, ENGINES, RunSpec
 from repro.core.supernode import convert_to_supernodes
 from repro.core.update import update_members
 from repro.graph.csr import CSRGraph
@@ -46,6 +45,7 @@ from repro.sim.costmodel import CycleBreakdown, CycleModel
 from repro.sim.counters import Counters, KernelStats
 from repro.sim.machine import MachineConfig, asa_machine, baseline_machine
 from repro.util.rng import make_rng
+from repro.util.validation import is_finite_real
 
 log = get_logger("core.infomap")
 
@@ -141,59 +141,33 @@ class InfomapResult:
         )
 
 
-#: every engine :func:`run_infomap` dispatches to
-ENGINES = ("sequential", "vectorized", "multicore", "parallel")
-#: the engines that run the shared BSP schedule (:mod:`repro.core.bsp`)
-BATCHED_ENGINES = ("vectorized", "multicore", "parallel")
-
-
 def validate_engine_args(
-    engine: str,
+    spec: RunSpec,
     *,
     engines: tuple[str, ...] = ENGINES,
-    workers: int | None = None,
-    accumulator: str = "reduceat",
-    chunk: int | None = None,
     warm_start: bool = False,
     fault_plan=None,
     worker_timeout: float | None = None,
     pool=None,
     deadline: float | None = None,
 ) -> None:
-    """Raise ``ValueError`` for the first engine argument that cannot run.
+    """Raise ``ValueError`` for the first argument of a run that cannot run.
 
     The one check behind every engine entry point: :func:`run_infomap`,
     :meth:`repro.service.jobs.JobSpec.validate`,
-    :func:`repro.core.dynamic.warm_refresh` and ``repro run``.
-    ``engines`` narrows the accepted names (the serving and refresh
-    layers take the batched engines only); ``workers=None`` means the
-    engine's default, and the single-rank engines accept only ``1``.
+    :func:`repro.core.dynamic.warm_refresh` and ``repro run``.  The
+    result-determining fields are :meth:`RunSpec.check_fields`' (``engines``
+    narrows the accepted names); the rest are how the run is executed.
     """
-    if engine not in engines:
-        raise ValueError(f"unknown engine {engine!r}: choose from {engines}")
-    if workers is not None:
-        if not isinstance(workers, int) or workers < 1:
-            raise ValueError("workers must be an int >= 1")
-        if engine not in ("multicore", "parallel") and workers != 1:
-            raise ValueError(
-                f"engine {engine!r} is single-rank: workers must be 1 "
-                f"(workers= applies to 'multicore' and 'parallel')"
-            )
-    validate_accumulator(accumulator)
-    if engine not in BATCHED_ENGINES and (
-        accumulator != "reduceat" or chunk is not None or warm_start
-        or deadline is not None
-    ):
+    spec.check_fields(engines)
+    engine = spec.engine
+    if engine not in BATCHED_ENGINES and (warm_start or deadline is not None):
         raise ValueError(
-            f"accumulator=, chunk=, init_module=, init_active= and "
-            f"deadline= apply to the batched engines {BATCHED_ENGINES}, "
-            f"not {engine!r}; the sequential engine accumulates through "
-            f"its backend= instead"
+            f"init_module=, init_active= and deadline= apply to the "
+            f"batched engines {BATCHED_ENGINES}, not {engine!r}"
         )
-    if chunk is not None and chunk < 1:
-        raise ValueError("chunk must be >= 1 (or None for whole shards)")
     if deadline is not None and not (
-        isinstance(deadline, (int, float)) and 0 < deadline < math.inf
+        is_finite_real(deadline) and deadline > 0
     ):
         raise ValueError("deadline must be positive finite seconds")
     for name, value in (
@@ -204,10 +178,12 @@ def validate_engine_args(
         if value is not None and engine != "parallel":
             raise ValueError(f"{name} requires engine 'parallel', not {engine!r}")
     if isinstance(fault_plan, str):
-        FaultPlan.parse(fault_plan, workers=workers or 2)
+        FaultPlan.parse(fault_plan, workers=spec.workers)
     elif fault_plan is not None and not isinstance(fault_plan, FaultPlan):
         raise ValueError("fault_plan must be a FaultPlan or its string spelling")
-    if worker_timeout is not None and worker_timeout <= 0:
+    if worker_timeout is not None and not (
+        is_finite_real(worker_timeout) and worker_timeout > 0
+    ):
         raise ValueError("worker_timeout must be positive seconds")
 
 
@@ -323,11 +299,13 @@ def run_infomap(
         Per the ``engine`` choice; all expose ``modules``,
         ``num_modules``, ``codelength``, and ``telemetry``.
     """
+    spec = RunSpec.resolve(
+        engine, workers=workers, seed=shuffle_seed, tau=tau,
+        max_levels=max_levels, max_passes_per_level=max_passes_per_level,
+        chunk=chunk, accumulator=accumulator,
+    )
     validate_engine_args(
-        engine,
-        workers=workers,
-        accumulator=accumulator,
-        chunk=chunk,
+        spec,
         warm_start=init_module is not None or init_active is not None,
         fault_plan=fault_plan,
         worker_timeout=worker_timeout,
@@ -338,13 +316,13 @@ def run_infomap(
         with trace_span("infomap.run", engine="sequential", backend=backend):
             return _run_infomap(
                 graph, backend, machine, ctx, tau, max_levels,
-                10 if max_passes_per_level is None else max_passes_per_level,
-                shuffle_seed, worklist, accumulator_kwargs,
+                spec.max_passes_per_level, shuffle_seed, worklist,
+                accumulator_kwargs,
             )
     batched = dict(
         tau=tau,
         max_levels=max_levels,
-        seed=shuffle_seed if shuffle_seed is not None else 0,
+        seed=spec.seed,
         chunk=chunk,
         accumulator=accumulator,
         init_module=init_module,
@@ -355,18 +333,16 @@ def run_infomap(
         # looked up at call time, so a wrapped module attribute is honoured
         from repro.core import vectorized
 
-        if max_passes_per_level is not None:
-            batched["max_rounds_per_level"] = max_passes_per_level
-        return vectorized.run_infomap_vectorized(graph, **batched)
-    if max_passes_per_level is not None:
-        batched["max_passes_per_level"] = max_passes_per_level
-    workers = workers if workers is not None else 2
+        return vectorized.run_infomap_vectorized(
+            graph, max_rounds_per_level=spec.max_passes_per_level, **batched
+        )
+    batched["max_passes_per_level"] = spec.max_passes_per_level
     if engine == "multicore":
         from repro.core.multicore import run_infomap_multicore
 
         return run_infomap_multicore(
             graph,
-            num_cores=workers,
+            num_cores=spec.workers,
             backend=backend if backend != "plain" else "softhash",
             machine=machine,
             **batched,
@@ -375,7 +351,7 @@ def run_infomap(
 
     return run_infomap_parallel(
         graph,
-        workers=workers,
+        workers=spec.workers,
         fault_plan=fault_plan,
         worker_timeout=worker_timeout,
         pool=pool,

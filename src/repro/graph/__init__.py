@@ -7,7 +7,7 @@ properties the paper's results depend on (power law, average degree,
 relative ordering of sizes).
 """
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, graph_digest
 from repro.graph.build import from_edges, from_edge_array
 from repro.graph.io import read_edge_list, write_edge_list
 from repro.graph.generators import (
@@ -30,6 +30,7 @@ from repro.graph.interop import from_networkx, to_networkx
 
 __all__ = [
     "CSRGraph",
+    "graph_digest",
     "from_edges",
     "from_edge_array",
     "read_edge_list",

@@ -15,12 +15,13 @@ weight w.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "graph_digest"]
 
 
 @dataclass
@@ -68,8 +69,13 @@ class CSRGraph:
             self.indices.min() < 0 or self.indices.max() >= self.num_vertices
         ):
             raise ValueError("neighbor index out of range")
-        if np.any(self.weights <= 0):
+        # ``w > 0`` is False for NaN, so NaN weights fail here too
+        if not np.all(self.weights > 0):
             raise ValueError("arc weights must be positive")
+        with np.errstate(over="ignore"):
+            total = self.weights.sum()
+        if not np.isfinite(total):
+            raise ValueError("arc weights must be finite, with a finite total")
         if self.t_indptr is None:
             if self.directed:
                 self.t_indptr, self.t_indices, self.t_weights = _transpose(
@@ -222,6 +228,33 @@ class CSRGraph:
             f"CSRGraph(name={self.name!r}, n={self.num_vertices}, "
             f"arcs={self.num_arcs}, {kind})"
         )
+
+
+def graph_digest(graph: CSRGraph) -> str:
+    """SHA-256 over the canonical arc multiset of ``graph``.
+
+    Canonical form: ``(src, dst, weight)`` triples lexsorted by
+    ``(src, dst)`` with duplicate ``(src, dst)`` arcs coalesced by
+    summing their weights, prefixed by the vertex count and the
+    directedness flag.  Isolated vertices matter (they change
+    ``num_vertices``); arc input order and duplicate spelling do not.
+    """
+    src, dst, w = graph.edge_array()
+    order = np.lexsort((dst, src))
+    src, dst, w = src[order], dst[order], w[order]
+    if len(src):
+        first = np.empty(len(src), dtype=bool)
+        first[0] = True
+        first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        group = np.cumsum(first) - 1
+        w = np.bincount(group, weights=w)
+        src, dst = src[first], dst[first]
+    h = hashlib.sha256()
+    h.update(f"csr/v1:{graph.num_vertices}:{int(graph.directed)}:".encode())
+    h.update(np.ascontiguousarray(src, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(dst, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(w, dtype=np.float64).tobytes())
+    return h.hexdigest()
 
 
 def _transpose(

@@ -13,7 +13,7 @@ This module builds multi-million-arc graphs **directly into a
 * the finished CSR already lives where :mod:`repro.core.parallel`
   workers would map it, and
 * the content digest the ledger/cache keys need
-  (:func:`repro.service.cache.graph_digest`) is computed by streaming
+  (:func:`repro.graph.csr.graph_digest`) is computed by streaming
   over the canonical rows — :func:`streamed_digest` is byte-identical
   to the eager digest without an ``edge_array()`` materialization.
 
@@ -42,7 +42,7 @@ Assembly pipeline (three passes over the blocks, one over the rows):
    coalesce duplicate arcs by summing weights, compacting the arrays
    in place (the write cursor never passes the read cursor);
 4. **digest** — stream the canonical rows through SHA-256 in the same
-   byte order :func:`~repro.service.cache.graph_digest` hashes.
+   byte order :func:`~repro.graph.csr.graph_digest` hashes.
 
 ``tests/test_stream_generators.py`` pins determinism, chunk-size
 invariance, streamed-vs-eager digest equality, and the bounded-RSS
@@ -426,7 +426,7 @@ def _assemble(
 def streamed_digest(
     graph: CSRGraph, chunk_arcs: int = DEFAULT_CHUNK_ARCS
 ) -> str:
-    """:func:`repro.service.cache.graph_digest`, byte-identical, in
+    """:func:`repro.graph.csr.graph_digest`, byte-identical, in
     O(chunk) memory.
 
     The eager digest hashes the arc multiset lexsorted by ``(src,
@@ -463,7 +463,7 @@ def streamed_digest(
                 raise ValueError(
                     "streamed_digest needs a canonical CSR (rows sorted "
                     "by destination, duplicates coalesced); use "
-                    "repro.service.cache.graph_digest instead"
+                    "repro.graph.graph_digest instead"
                 )
         h.update(np.ascontiguousarray(rows, dtype=np.int64).tobytes())
     for _r0, _r1, lo, hi in row_chunks():  # dst

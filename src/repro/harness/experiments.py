@@ -30,6 +30,7 @@ from repro.baselines.louvain import louvain
 from repro.core.infomap import InfomapResult, run_infomap
 from repro.core.multicore import MulticoreResult, run_infomap_multicore
 from repro.core.vectorized import run_infomap_vectorized
+from repro.graph.csr import graph_digest
 from repro.graph.datasets import DATASETS, TABLE1_ORDER, load_dataset
 from repro.graph.lfr import LFRParams, lfr_graph
 from repro.graph.metrics import cam_coverage, degree_histogram, powerlaw_alpha_mle
@@ -150,7 +151,7 @@ def run_cached(
             config={
                 "experiment": "run_cached",
                 "dataset": name,
-                "graph": obs_ledger.graph_digest(graph),
+                "graph": graph_digest(graph),
                 "backend": backend,
                 "cores": cores,
                 "fidelity": fidelity,
@@ -650,7 +651,7 @@ def lfr_quality(
                     "experiment": "lfr_quality",
                     "generator": "lfr",
                     "n": n, "mu": mu, "seed": seed,
-                    "graph": obs_ledger.graph_digest(g),
+                    "graph": graph_digest(g),
                     "engine": "vectorized",
                 },
             )

@@ -7,8 +7,9 @@ that :mod:`repro.obs.trend` can query across sessions and machines.
 
 A record's identity is its **run_key**: the SHA-256 of the canonical
 JSON of its *result-determining configuration* — the graph content
-digest (:func:`repro.service.cache.graph_digest`), engine, workers,
-seed, and engine parameters.  Two runs of the same configuration carry
+digest (:func:`repro.graph.graph_digest`), engine, workers, seed, and
+engine parameters (:meth:`repro.core.runspec.RunSpec.config` for jobs
+and refreshes).  Two runs of the same configuration carry
 byte-identical run_keys regardless of when, where, or in what order
 they ran; anything that can change the answer changes the key.  Host,
 timestamp, and software versions live in the **provenance** block —
@@ -55,7 +56,6 @@ __all__ = [
     "LEDGER_SCHEMA",
     "RECORD_KINDS",
     "run_key",
-    "graph_digest",
     "provenance",
     "make_record",
     "validate_record",
@@ -101,15 +101,6 @@ def run_key(config: Mapping[str, Any]) -> str:
         jsonable(dict(config)), sort_keys=True, separators=(",", ":")
     )
     return hashlib.sha256(f"runkey/v1:{payload}".encode()).hexdigest()
-
-
-def graph_digest(graph) -> str:
-    """Content digest of a ``CSRGraph`` — the canonical arc-multiset
-    SHA-256 from :func:`repro.service.cache.graph_digest`, re-exported
-    here (lazily) so ledger writers need no service import."""
-    from repro.service.cache import graph_digest as _digest
-
-    return _digest(graph)
 
 
 # ---------------------------------------------------------------- provenance

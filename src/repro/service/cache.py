@@ -9,21 +9,11 @@ hits, misses, and capacity evictions are counted and published as
 ``service.cache.*`` metrics (the CAM's counters are
 ``accum.overflow_evictions`` etc., see ``docs/observability.md``).
 
-Keys are **content-addressed**, never identity-addressed:
-
-* :func:`graph_digest` hashes the *canonical arc multiset* — arcs are
-  lexsorted by ``(src, dst)`` and duplicate arcs are coalesced by
-  summing weights before hashing, so two ``CSRGraph`` objects describe
-  the same network iff they digest equally, regardless of edge input
-  order or duplicate-edge spelling (the same canonical form
-  ``repro.graph.build`` applies when constructing a CSR);
-* :func:`cache_key` appends the canonicalized result-determining
-  parameters (engine, workers, seed, tau, level/pass caps, chunk,
-  accumulator).  Serving parameters (priority, deadline, fault plans)
-  never reach the key — they cannot change a result.  The accumulator
-  strategy is bit-identical by contract but is still hashed, so the
-  replay ledger can attribute any run byte-for-byte to its exact
-  configuration.
+Keys are **content-addressed**: :func:`cache_key` is the job's run
+identity (:meth:`repro.core.runspec.RunSpec.identity`) over the
+canonical :func:`graph_digest` (re-exported from :mod:`repro.graph`) and
+the result-determining fields, so serving parameters never reach it and
+a served job's ledger row carries the same key.
 
 ``tests/test_service_cache.py`` pins both directions with hypothesis:
 digests invariant under edge permutation and duplicate-edge rewriting,
@@ -32,75 +22,24 @@ distinct under weight/seed/engine changes.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import graph_digest
 from repro.obs import metrics as obs_metrics
 from repro.service.jobs import JobSpec
 
 __all__ = ["graph_digest", "cache_key", "CacheEntry", "ResultCache"]
 
 
-def graph_digest(graph: CSRGraph) -> str:
-    """SHA-256 over the canonical arc multiset of ``graph``.
-
-    Canonical form: ``(src, dst, weight)`` triples lexsorted by
-    ``(src, dst)`` with duplicate ``(src, dst)`` arcs coalesced by
-    summing their weights, prefixed by the vertex count and the
-    directedness flag.  Isolated vertices matter (they change
-    ``num_vertices``); arc input order and duplicate spelling do not.
-    """
-    src, dst, w = graph.edge_array()
-    order = np.lexsort((dst, src))
-    src, dst, w = src[order], dst[order], w[order]
-    if len(src):
-        first = np.empty(len(src), dtype=bool)
-        first[0] = True
-        first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-        group = np.cumsum(first) - 1
-        w = np.bincount(group, weights=w)
-        src, dst = src[first], dst[first]
-    h = hashlib.sha256()
-    h.update(f"csr/v1:{graph.num_vertices}:{int(graph.directed)}:".encode())
-    h.update(np.ascontiguousarray(src, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(dst, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(w, dtype=np.float64).tobytes())
-    return h.hexdigest()
-
-
 def cache_key(spec: JobSpec) -> str:
-    """Content address of ``spec``'s result.
-
-    Exactly the result-determining fields, canonically spelled; two
+    """Content address of ``spec``'s result: its run identity.  Two
     specs share a key iff the engines are guaranteed to hand back the
-    same partition for both.
-
-    Delta jobs get a ``delta/v1`` key: the *base* graph's digest plus
-    the delta's op-sequence digest plus the params hash — a warm
-    refresh's result depends on the base partition (a function of the
-    base graph and params) and on the updated graph (base plus delta),
-    so all three must address it.  An explicit ``base_key`` (a pinned
-    warm source that overrides the derived one) is hashed into the
-    params, since it changes what the refresh warms from.
-    """
-    params = (
-        f"params/v2:engine={spec.engine}:workers={spec.workers}"
-        f":seed={spec.seed}:tau={float(spec.tau)!r}"
-        f":levels={spec.max_levels}:passes={spec.max_passes_per_level}"
-        f":chunk={spec.chunk}:accumulator={spec.accumulator}"
-    )
-    if spec.delta is not None:
-        params += f":base={spec.base_key}"
-        return (
-            f"{graph_digest(spec.graph)}+{spec.delta.digest()}"
-            f"/{hashlib.sha256(params.encode()).hexdigest()}"
-        )
-    return f"{graph_digest(spec.graph)}/{hashlib.sha256(params.encode()).hexdigest()}"
+    same partition for both."""
+    return spec.identity(*spec.identity_args())
 
 
 @dataclass(frozen=True)

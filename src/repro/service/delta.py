@@ -17,11 +17,12 @@ Two validation layers, mirroring the jobsfile convention:
   and raises ``ValueError`` prefixed with its ``where`` coordinate —
   a malformed delta line fails the whole file fast with a line number;
 * :meth:`Delta.validate` checks the *values* against a vertex universe
-  (ranges, positive weights) — admission control's job, so one bad job
-  rejects structurally instead of blocking the batch.
+  (ranges, positive finite weights with a finite total) — admission
+  control's job, so one bad job rejects structurally instead of
+  blocking the batch.
 
-:meth:`Delta.digest` is the content address the ``delta/v1`` cache key
-(:func:`repro.service.cache.cache_key`) combines with the base graph's
+:meth:`Delta.digest` is the content address a delta job's identity
+(:meth:`repro.core.runspec.RunSpec.identity`) adds to the base graph's
 digest: the exact op sequence is hashed, so two jobs share a key iff
 they apply the same updates to the same base under the same params.
 """
@@ -29,20 +30,18 @@ they apply the same updates to the same base under the same params.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.graph.build import from_edge_array
 from repro.graph.csr import CSRGraph
+from repro.util.validation import is_finite_real, is_int
 
 __all__ = ["DELTA_OPS", "Delta"]
 
 DELTA_OPS = ("add", "remove")
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -92,11 +91,13 @@ class Delta:
                     )
                 u, v = op[1], op[2]
                 w = op[3] if len(op) == 4 else 1.0
-                if not (_is_int(u) and _is_int(v)):
+                if not (is_int(u) and is_int(v)):
                     raise ValueError(f"{at}: vertex ids must be integers")
                 if isinstance(w, bool) or not isinstance(w, (int, float)):
                     raise ValueError(f"{at}: weight must be a number")
-                ops.append(("add", u, v, float(w)))
+                # a weight past the float range stays as sent, for
+                # validate() to reject
+                ops.append(("add", u, v, float(w) if is_finite_real(w) else w))
             else:
                 if len(op) != 3:
                     raise ValueError(
@@ -104,7 +105,7 @@ class Delta:
                         f"got {len(op) - 1} argument(s)"
                     )
                 u, v = op[1], op[2]
-                if not (_is_int(u) and _is_int(v)):
+                if not (is_int(u) and is_int(v)):
                     raise ValueError(f"{at}: vertex ids must be integers")
                 ops.append(("remove", u, v))
         return Delta(ops=tuple(ops))
@@ -122,6 +123,7 @@ class Delta:
         """
         if not isinstance(self.ops, tuple) or not self.ops:
             raise ValueError("delta must contain at least one op")
+        added = 0.0
         for i, op in enumerate(self.ops):
             if not isinstance(op, tuple) or not op or op[0] not in DELTA_OPS:
                 raise ValueError(
@@ -133,23 +135,27 @@ class Delta:
                         f"delta op {i}: 'add' needs (op, u, v, weight)"
                     )
                 _, u, v, w = op
-                if not isinstance(w, (int, float)) or w <= 0:
+                if not (is_finite_real(w) and w > 0):
                     raise ValueError(
-                        f"delta op {i}: weight must be positive, got {w!r}"
+                        f"delta op {i}: weight must be positive and "
+                        f"finite, got {w!r}"
                     )
+                added += w
             else:
                 if len(op) != 3:
                     raise ValueError(
                         f"delta op {i}: 'remove' needs (op, u, v)"
                     )
                 _, u, v = op
-            if not (_is_int(u) and _is_int(v)):
+            if not (is_int(u) and is_int(v)):
                 raise ValueError(f"delta op {i}: vertex ids must be integers")
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise ValueError(
                     f"delta op {i}: vertex out of range ({u}, {v}) for "
                     f"{num_vertices} vertices"
                 )
+        if not math.isfinite(added):
+            raise ValueError("delta weights must have a finite total")
 
     # ------------------------------------------------------------ apply
     def dirty_vertices(self) -> np.ndarray:
@@ -204,8 +210,8 @@ class Delta:
 
     # ----------------------------------------------------------- digest
     def digest(self) -> str:
-        """SHA-256 over the exact op sequence (the ``delta/v1`` half of
-        a delta job's cache key)."""
+        """SHA-256 over the exact op sequence (the ``delta`` entry of a
+        delta job's identity config)."""
         h = hashlib.sha256()
         h.update(f"delta/v1:{len(self.ops)}:".encode())
         for op in self.ops:

@@ -84,6 +84,7 @@ from repro.service.jobs import STATUS_REJECTED, JobResult, JobSpec
 from repro.service.jobsfile import _GraphResolver, spec_fields_from_json
 from repro.service.router import RendezvousRouter, TokenBucket
 from repro.service.service import JobService
+from repro.util.validation import is_finite_real
 
 __all__ = ["GatewayConfig", "Gateway", "REJECT_INVALID",
            "REJECT_RATE_LIMIT", "REJECT_BACKPRESSURE", "graph_to_wire"]
@@ -210,14 +211,13 @@ class _Shard:
 class _Session:
     """Live-ingest state for one named delta session on a connection."""
 
-    __slots__ = ("name", "graph", "fields", "base_key", "meta", "ops",
+    __slots__ = ("name", "spec", "base_key", "meta", "ops",
                  "pending_dirty", "flushes")
 
-    def __init__(self, name: str, graph, fields: dict, base_key: str,
+    def __init__(self, name: str, spec: JobSpec, base_key: str,
                  meta: dict) -> None:
         self.name = name
-        self.graph = graph
-        self.fields = fields          # spec fields of the base job
+        self.spec = spec              # the base job
         self.base_key = base_key      # warm-start source + route key
         self.meta = meta              # opener's envelope (tenant, id)
         self.ops: list[tuple] = []    # cumulative since the base job
@@ -431,9 +431,10 @@ class Gateway:
         meta["tenant"] = tenant
         at = obj.get("at")
         if at is not None:
-            if isinstance(at, bool) or not isinstance(at, (int, float)):
+            if not is_finite_real(at):
+                # an infinite stamp would pin the tenant's virtual clock
                 await self._reject(conn, writer, meta, REJECT_INVALID,
-                                   f"{where}: 'at' must be a number")
+                                   f"{where}: 'at' must be a finite number")
                 return
             self._vclocks[tenant] = max(
                 self._vclocks.get(tenant, 0.0), float(at)
@@ -509,9 +510,7 @@ class Gateway:
         routes by its own cache key.
         """
         if spec.delta is not None:
-            return spec.base_key or cache_key(
-                dataclasses.replace(spec, delta=None, base_key=None)
-            )
+            return spec.base_key or cache_key(spec.base_job())
         return cache_key(spec)
 
     def _bucket(self, tenant: str) -> TokenBucket:
@@ -546,7 +545,7 @@ class Gateway:
         if ops_json is not None:
             try:
                 delta = Delta.from_json(ops_json, where=where)
-                delta.validate(sess.graph.num_vertices)
+                delta.validate(sess.spec.graph.num_vertices)
             except ValueError as exc:
                 await self._reject(conn, writer, meta, REJECT_INVALID,
                                    str(exc), session=sess)
@@ -601,8 +600,7 @@ class Gateway:
         except (ValueError, OSError, TypeError) as exc:
             await self._reject(conn, writer, meta, REJECT_INVALID, str(exc))
             return
-        sess = _Session(name, graph, fields, base_key=cache_key(spec),
-                        meta=meta)
+        sess = _Session(name, spec, base_key=cache_key(spec), meta=meta)
         if await self._admit(conn, writer, meta, spec, session=sess):
             conn.sessions[name] = sess
             self._count("gateway.ingest.sessions")
@@ -613,11 +611,11 @@ class Gateway:
         from repro.core.dynamic import dirty_frontier
 
         frontier = dirty_frontier(
-            sess.graph,
+            sess.spec.graph,
             np.fromiter(sess.pending_dirty, dtype=np.int64,
                         count=len(sess.pending_dirty)),
         )
-        return len(frontier) / max(1, sess.graph.num_vertices)
+        return len(frontier) / max(1, sess.spec.graph.num_vertices)
 
     async def _flush_session(self, conn: _Conn, writer: asyncio.StreamWriter,
                              sess: _Session, meta: dict, *, close: bool,
@@ -625,11 +623,9 @@ class Gateway:
         meta = dict(meta) if meta else dict(sess.meta)
         meta.setdefault("tenant", "default")
         if sess.pending_dirty:
-            spec = JobSpec(
-                graph=sess.graph,
-                delta=Delta(ops=tuple(sess.ops)),
+            spec = dataclasses.replace(
+                sess.spec, delta=Delta(ops=tuple(sess.ops)),
                 base_key=sess.base_key,
-                **sess.fields,
             )
             accepted = await self._admit(conn, writer, meta, spec,
                                          session=sess)

@@ -1,13 +1,18 @@
 """Job specifications and structured job outcomes.
 
-A :class:`JobSpec` is one community-detection request: a graph plus the
-engine parameters that determine its result (engine, workers, seed,
-tau, level/pass caps, chunk) and the serving parameters that determine
-how it is run (priority, deadline, cache participation, chaos plan).
-Specs are immutable and self-validating — :meth:`JobSpec.validate`
-raises ``ValueError`` with a human-readable reason, which the
-scheduler's admission control converts into a structured rejection
-instead of letting it escape a batch.
+A :class:`JobSpec` is one community-detection request: a
+:class:`~repro.core.runspec.RunSpec` (the result-determining engine,
+workers, seed, tau, level/pass caps, chunk and accumulator) on a graph,
+plus the serving parameters that determine how it is run (priority,
+deadline, cache participation, chaos plan).  Its
+:meth:`~repro.core.runspec.RunSpec.identity` is both the result-cache
+key and the run ledger's ``run_key``.  Specs are immutable and
+self-validating — :meth:`JobSpec.validate` raises ``ValueError`` with a
+human-readable reason, which the scheduler's admission control converts
+into a structured rejection instead of letting it escape a batch.
+
+A job runs on a serving engine, ``vectorized`` or ``parallel``
+(:data:`ENGINES`); ``multicore`` stays with ``run_infomap``.
 
 A :class:`JobResult` is the *only* way the service reports an outcome:
 completed, failed, cancelled, and rejected jobs all come back as
@@ -18,13 +23,15 @@ job cannot take down a batch.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.faults import FaultPlan
-from repro.core.infomap import BATCHED_ENGINES, validate_engine_args
+from repro.core.infomap import validate_engine_args
+from repro.core.runspec import SERVING_ENGINES, RunSpec
 from repro.graph.csr import CSRGraph
 from repro.service.delta import Delta
 
@@ -39,9 +46,9 @@ __all__ = [
     "JobResult",
 ]
 
-#: engines a job may request — the batched ones; ``parallel`` is the one
-#: the warm pools amortize (the others have no fork cost to skip)
-ENGINES = BATCHED_ENGINES
+#: engines a job may request; ``parallel`` is the one the warm pools
+#: amortize (vectorized has no fork cost to skip)
+ENGINES = SERVING_ENGINES
 
 STATUS_PENDING = "pending"
 STATUS_COMPLETED = "completed"
@@ -50,33 +57,18 @@ STATUS_CANCELLED = "cancelled"
 STATUS_REJECTED = "rejected"
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    """One community-detection request.
+@dataclass(frozen=True, kw_only=True)
+class JobSpec(RunSpec):
+    """One community-detection request: a :class:`RunSpec` on ``graph``.
 
-    Result-determining parameters (everything the cache key hashes):
-    ``graph``, ``engine``, ``workers``, ``seed``, ``tau``,
-    ``max_levels``, ``max_passes_per_level``, ``chunk``,
-    ``accumulator``, plus — for delta jobs — ``delta`` and
-    ``base_key``.  Serving
-    parameters (never part of the cache key): ``priority``,
-    ``deadline``, ``use_cache``, ``fault_plan``, ``worker_timeout``,
-    ``label``.
+    Result-determining (the cache key): ``graph``, the
+    :class:`RunSpec` fields, and — for delta jobs — ``delta`` and
+    ``base_key``.  Serving parameters (never part of the key):
+    ``priority``, ``deadline``, ``use_cache``, ``fault_plan``,
+    ``worker_timeout``, ``label``.
     """
 
     graph: CSRGraph
-    engine: str = "parallel"
-    workers: int = 2
-    seed: int = 0
-    tau: float = 0.15
-    max_levels: int = 20
-    max_passes_per_level: int = 10
-    chunk: int | None = None
-    #: candidate-accumulation strategy for the best-move sweep
-    #: (``"reduceat"`` | ``"bounded"`` | ``"auto"``); every strategy is
-    #: bit-identical, so it is hashed into the cache key only for
-    #: byte-exact replay bookkeeping (see :mod:`repro.core.accumulate`)
-    accumulator: str = "reduceat"
     #: higher runs first; ties break FIFO by submission order
     priority: int = 0
     #: wall-clock budget in seconds (every engine); a job past it is
@@ -92,40 +84,32 @@ class JobSpec:
     #: free-form tag echoed into the result (for batch reports)
     label: str = ""
     #: edge delta applied to ``graph`` before an incremental refresh —
-    #: makes this a *delta job* (see :mod:`repro.service.delta`); the
-    #: result is keyed under the ``delta/v1`` cache key
+    #: makes this a *delta job* (see :mod:`repro.service.delta`) whose
+    #: identity adds the delta's op digest and ``base_key``
     delta: Delta | None = None
     #: explicit cache key of the base partition to warm-start from
-    #: (delta jobs only).  ``None`` derives it from this spec's own
-    #: graph+params; an explicit key that is not in the cache rejects
-    #: the job structurally at execution time, while a derived key that
-    #: misses falls back to a full from-scratch run.
+    #: (delta jobs only).  ``None`` derives it from :meth:`base_job`;
+    #: an explicit key that is not in the cache rejects the job
+    #: structurally at execution time, while a derived key that misses
+    #: falls back to a full from-scratch run.
     base_key: str | None = None
 
     def validate(self) -> None:
-        """Raise ``ValueError`` describing the first invalid field."""
+        """Raise ``ValueError`` describing the first invalid field (the
+        engine must be one of :data:`ENGINES`)."""
         if not isinstance(self.graph, CSRGraph):
             raise ValueError(
                 f"graph must be a CSRGraph, got {type(self.graph).__name__}"
             )
+        if self.delta is None and self.graph.num_arcs == 0:
+            raise ValueError("graph has no arcs")
         validate_engine_args(
-            self.engine,
+            self,
             engines=ENGINES,
-            workers=self.workers,
-            accumulator=self.accumulator,
-            chunk=self.chunk,
             fault_plan=self.fault_plan,
             worker_timeout=self.worker_timeout,
             deadline=self.deadline,
         )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError("seed must be an int")
-        if not (0.0 < self.tau < 1.0):
-            raise ValueError("tau must be in (0, 1)")
-        if self.max_levels < 1 or self.max_passes_per_level < 1:
-            raise ValueError(
-                "max_levels and max_passes_per_level must be >= 1"
-            )
         if self.delta is not None:
             if not isinstance(self.delta, Delta):
                 raise ValueError(
@@ -143,6 +127,17 @@ class JobSpec:
             if not isinstance(self.base_key, str) or not self.base_key:
                 raise ValueError("base_key must be a non-empty string")
 
+    def identity_args(self) -> tuple:
+        """``(graph, delta digest, base_key)``: what this job's
+        :meth:`identity` and :meth:`config` are taken over."""
+        digest = self.delta.digest() if self.delta is not None else None
+        return self.graph, digest, self.base_key
+
+    def base_job(self) -> "JobSpec":
+        """The plain job whose cached partition a delta job warm-starts
+        from when no explicit ``base_key`` pins one."""
+        return dataclasses.replace(self, delta=None, base_key=None)
+
     @property
     def cacheable(self) -> bool:
         """Whether this job may read/write the result cache.
@@ -151,14 +146,6 @@ class JobSpec:
         to clean runs, but a cache should never depend on that proof.
         """
         return self.use_cache and self.fault_plan is None
-
-    def describe(self) -> str:
-        tag = self.label or self.graph.name
-        return (
-            f"{tag}[{self.engine}"
-            f"{f' x{self.workers}' if self.engine != 'vectorized' else ''}"
-            f", seed={self.seed}]"
-        )
 
 
 @dataclass

@@ -43,24 +43,24 @@ one invalid job never blocks the rest of the file.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from typing import Iterable
 
 from repro.graph.csr import CSRGraph
 from repro.service.delta import Delta
 from repro.service.jobs import JobSpec
+from repro.util.validation import is_finite_real, is_int
 
 __all__ = ["load_jobs", "append_job", "spec_fields_from_json"]
 
 #: JobSpec fields settable from a JSONL line (graph comes from the
 #: graph-source keys, which are handled separately)
-_SPEC_KEYS = (
-    "engine", "workers", "seed", "tau", "max_levels",
-    "max_passes_per_level", "chunk", "accumulator", "priority",
-    "deadline", "use_cache", "fault_plan", "worker_timeout", "label",
-    "delta", "base_key",
-)
+_SPEC_KEYS = tuple(f.name for f in dataclasses.fields(JobSpec)
+                   if f.name != "graph")
 _GRAPH_KEYS = ("dataset", "edge_list", "planted", "edges")
+#: vertex-id bound of an inline graph without ``num_vertices`` (ids are
+#: stored as int64)
+_MAX_VERTICES = 2**62
 _FILE_KEYS = _SPEC_KEYS + _GRAPH_KEYS + ("directed",)
 
 
@@ -103,21 +103,24 @@ def _check_edges_recipe(recipe, where: str) -> None:
                                     "name"})
     if unknown:
         raise ValueError(f"{where}: unknown 'edges' key(s) {unknown}")
-    arcs = recipe.get("arcs")
-    if not isinstance(arcs, list):
-        raise ValueError(f"{where}: 'edges' needs an 'arcs' array")
-    for i, arc in enumerate(arcs):
-        if (not isinstance(arc, list) or len(arc) not in (2, 3)
-                or not all(isinstance(x, (int, float))
-                           and not isinstance(x, bool) for x in arc)):
-            raise ValueError(
-                f"{where}: arc {i} must be [u, v] or [u, v, weight], "
-                f"got {arc!r}"
-            )
     nv = recipe.get("num_vertices")
-    if nv is not None and (not isinstance(nv, int) or isinstance(nv, bool)
-                           or nv < 1):
-        raise ValueError(f"{where}: 'num_vertices' must be an int >= 1")
+    if nv is not None and not (is_int(nv) and 1 <= nv <= _MAX_VERTICES):
+        raise ValueError(f"{where}: 'num_vertices' must be an int in "
+                         f"[1, {_MAX_VERTICES}]")
+    limit = _MAX_VERTICES if nv is None else nv
+    arcs = recipe.get("arcs")
+    if not isinstance(arcs, list) or not arcs:
+        raise ValueError(f"{where}: 'edges' needs a non-empty 'arcs' array")
+    for i, arc in enumerate(arcs):
+        if not (isinstance(arc, list) and len(arc) in (2, 3)
+                and all(is_int(x) and 0 <= x < limit for x in arc[:2])
+                and (len(arc) == 2 or (is_finite_real(arc[2])
+                                       and arc[2] > 0))):
+            raise ValueError(
+                f"{where}: arc {i} must be [u, v] or [u, v, weight] with "
+                f"integer vertex ids in [0, {limit}) and a positive finite "
+                f"weight, got {arc!r}"
+            )
 
 
 class _GraphResolver:
@@ -216,12 +219,3 @@ def append_job(path: str, obj: dict) -> dict:
     with open(path, "a") as fh:
         fh.write(json.dumps(compact, sort_keys=True) + "\n")
     return compact
-
-
-def specs_to_jsonl(objs: Iterable[dict], path: str) -> str:
-    """Write a whole jobs file at once (used by tests and smokes)."""
-    with open(path, "w") as fh:
-        for obj in objs:
-            spec_fields_from_json(obj, where="job")
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
-    return path

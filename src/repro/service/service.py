@@ -227,26 +227,13 @@ class JobService:
     def _record_ledger(self, spec: JobSpec, result: JobResult) -> None:
         """Append one ``kind="service"`` row to the armed run ledger.
 
-        The config (and so the run_key) is exactly the cache key's
-        result-determining field set; how the job was served — cache
-        hit/miss, warm/cold pool, queue wait, wall time — is perf data,
-        never identity (docs/trend.md).
+        The config is the job's :meth:`~repro.core.runspec.RunSpec.config`,
+        so the row's run_key is the job's cache key; how the job was
+        served — cache hit/miss, warm/cold pool, queue wait, wall time —
+        is perf data, never identity (docs/trend.md).
         """
         if not obs_ledger.is_enabled():
             return
-        from repro.service.cache import graph_digest
-
-        config = {
-            "graph": graph_digest(spec.graph),
-            "engine": spec.engine,
-            "workers": spec.workers,
-            "seed": spec.seed,
-            "tau": spec.tau,
-            "max_levels": spec.max_levels,
-            "max_passes_per_level": spec.max_passes_per_level,
-            "chunk": spec.chunk,
-            "accumulator": spec.accumulator,
-        }
         telemetry = {
             "status": result.status,
             "codelength": result.codelength if result.ok else None,
@@ -254,17 +241,12 @@ class JobService:
             "levels": result.levels if result.ok else None,
         }
         if spec.delta is not None:
-            # delta jobs answer a different question than plain jobs on
-            # the same graph+params — key them apart (plain rows keep
-            # their historical run_keys byte-for-byte)
-            config["delta"] = spec.delta.digest()
-            config["base_key"] = spec.base_key
             telemetry["touched_vertices"] = result.touched_vertices
             telemetry["full_rerun"] = result.full_rerun
         record = obs_ledger.make_record(
             kind="service",
             source="service",
-            config=config,
+            config=spec.config(*spec.identity_args()),
             telemetry=telemetry,
             perf={
                 "queue_seconds": result.queue_seconds,
@@ -288,13 +270,9 @@ class JobService:
         falls back to a full from-scratch run of the updated graph when
         it misses, recorded as ``full_rerun`` in the result.
         """
-        import dataclasses
-
         from repro.core.dynamic import warm_refresh
 
-        base = self.cache.get(spec.base_key or cache_key(
-            dataclasses.replace(spec, delta=None, base_key=None)
-        ))
+        base = self.cache.get(spec.base_key or cache_key(spec.base_job()))
         if base is None and spec.base_key is not None:
             result.status = STATUS_REJECTED
             result.error = (
@@ -309,14 +287,7 @@ class JobService:
                 updated,
                 base.modules if base is not None else None,
                 spec.delta.dirty_vertices(),
-                engine=spec.engine,
-                workers=spec.workers,
-                seed=spec.seed,
-                tau=spec.tau,
-                max_levels=spec.max_levels,
-                max_passes=spec.max_passes_per_level,
-                chunk=spec.chunk,
-                accumulator=spec.accumulator,
+                **spec.run_fields(),
                 pool=self._pool_for(spec, result),
                 deadline=spec.deadline,
                 worker_timeout=spec.worker_timeout,
@@ -331,18 +302,11 @@ class JobService:
         """Execute ``spec`` on its engine, reporting into ``result``."""
         r = self._guarded(spec, result, lambda: run_infomap(
             spec.graph,
-            engine=spec.engine,
-            workers=spec.workers,
-            tau=spec.tau,
-            max_levels=spec.max_levels,
-            max_passes_per_level=spec.max_passes_per_level,
-            shuffle_seed=spec.seed,
-            chunk=spec.chunk,
+            **spec.infomap_kwargs(),
             fault_plan=spec.fault_plan,
             worker_timeout=spec.worker_timeout,
             pool=self._pool_for(spec, result),
             deadline=spec.deadline,
-            accumulator=spec.accumulator,
         ))
         if r is not None:
             result.respawns = getattr(r, "respawns", 0)

@@ -2,14 +2,38 @@
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
-__all__ = ["check_positive", "check_probability", "check_in_range", "require"]
+__all__ = ["check_positive", "check_probability", "check_in_range", "require",
+           "is_int", "is_finite_real"]
 
 
-def require(condition: bool, message: str) -> None:
-    """Raise :class:`ValueError` with ``message`` when ``condition`` is false."""
+def is_int(x: Any) -> bool:
+    """A true integer: ``bool`` (an ``int`` subclass) and floats are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def is_finite_real(x: Any) -> bool:
+    """A number (not ``bool``) that is a finite float64: not NaN, not
+    infinite, not an int past the float range."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+_NO_VALUE = object()
+
+
+def require(condition: bool, message: str, got: Any = _NO_VALUE) -> None:
+    """Raise :class:`ValueError` with ``message`` when ``condition`` is
+    false; a ``got`` value is appended as ``", got <got!r>"``."""
     if not condition:
+        if got is not _NO_VALUE:
+            message = f"{message}, got {got!r}"
         raise ValueError(message)
 
 

@@ -189,3 +189,12 @@ class TestIncrementalRefresh:
         b = dyn.refresh()
         assert np.array_equal(a.modules, b.modules)
         assert b.touched_vertices == 0
+
+    def test_refresh_pass_cap_overrides_the_spec_for_one_refresh(self):
+        g, _ = planted_partition(4, 20, 0.4, 0.02, seed=4)
+        capped = seeded_dynamic(g).refresh(max_passes_per_level=1)
+        dyn = seeded_dynamic(g, max_passes_per_level=1)
+        assert np.array_equal(capped.modules, dyn.refresh().modules)
+        assert dyn.spec.max_passes_per_level == 1
+        with pytest.raises(ValueError, match="max_passes_per_level"):
+            seeded_dynamic(g).refresh(max_passes_per_level=0)

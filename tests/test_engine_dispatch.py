@@ -12,7 +12,8 @@
 * **Result-determining fields reach the engine.**  ``run_infomap``'s
   ``max_passes_per_level`` and a job's ``chunk`` change the vectorized
   run's pass / round counts.
-* **Deadlines for every batched engine.**
+* **Deadlines for every batched engine** (served jobs for the serving
+  engines, ``run_infomap`` for ``multicore``).
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def test_cold_vectorized_job_honours_chunk(monkeypatch):
 
 
 @pytest.mark.parametrize("engine,workers", [
-    ("vectorized", 1), ("multicore", 2), ("parallel", 2),
+    ("vectorized", 1), ("parallel", 2),
 ])
 def test_tiny_deadline_cancels_every_batched_engine(engine, workers):
     g, _ = FAMILIES["undirected"](0)
@@ -141,6 +142,16 @@ def test_tiny_deadline_cancels_every_batched_engine(engine, workers):
     assert doomed.status == STATUS_CANCELLED
     assert "deadline" in doomed.error
     assert after.status == STATUS_COMPLETED
+
+
+def test_tiny_deadline_cancels_multicore_run():
+    """``multicore`` is no serving engine; its runs cancel at the same
+    barrier through ``run_infomap``, and a generous budget completes."""
+    g, _ = FAMILIES["undirected"](0)
+    with pytest.raises(DeadlineExceeded, match="barrier 0"):
+        run_infomap(g, engine="multicore", workers=2, deadline=1e-9)
+    assert run_infomap(g, engine="multicore", workers=2,
+                       deadline=600.0).num_modules >= 1
 
 
 def test_driver_raises_deadline_at_first_barrier():

@@ -20,6 +20,7 @@ mocked transport.  The suite pins the gateway's four contracts:
 
 import asyncio
 import json
+import math
 import socket
 import subprocess
 import sys
@@ -209,6 +210,50 @@ class TestAdmission:
         assert got["ok"]["status"] == "completed"
         nojson = [r for r in rows if "id" not in r]
         assert len(nojson) == 1 and "not JSON" in nojson[0]["error"]
+
+
+    def test_bad_wire_numbers_reject_one_row_each(self):
+        """Numbers the engines cannot take are refused at admission:
+        each bad line answers with exactly one ``invalid`` row — none
+        kills the connection or reaches an engine — and a valid line
+        after them completes on the same connection."""
+        g, _ = FAMILIES["undirected"](0)
+        edges = lambda arcs, **kw: {  # noqa: E731
+            "edges": {"num_vertices": 4, "arcs": arcs, **kw},
+            "engine": "vectorized", "workers": 1,
+        }
+        bad = {
+            "huge-id": edges([[0, 1e300]]),
+            "huge-int-id": edges([[0, 10 ** 30]]),
+            "fractional-id": edges([[0, 1.5]]),
+            "nan-weight": edges([[0, 1, math.nan], [1, 2]]),
+            "inf-weight": edges([[0, 1, math.inf], [1, 2]]),
+            "inf-total": edges([[0, 1, 1e308], [1, 2, 1e308]]),
+            "no-arcs": edges([]),
+            "inf-at": _vec_line(g, 0, at=math.inf),
+            "nan-at": _vec_line(g, 0, at=math.nan),
+            "nan-delta": _vec_line(g, 0, delta=[["add", 0, 1, math.nan]]),
+            "inf-delta-total": _vec_line(
+                g, 0, delta=[["add", 0, 1, 1e308], ["add", 1, 2, 1e308]]),
+            "huge-delta-weight": _vec_line(
+                g, 0, delta=[["add", 0, 1, 10 ** 400]]),
+        }
+
+        async def _drive(gw):
+            client = await GatewayClient.connect("127.0.0.1", gw.port)
+            for rid, line in bad.items():
+                await client.send({**line, "id": rid})
+            await client.send(_vec_line(g, 0, id="ok"))
+            return await client.drain_to_eof()
+
+        rows, gw = gw_run(_drive, shards=1, virtual_time=True)
+        assert sorted(r["id"] for r in rows) == sorted([*bad, "ok"])
+        got = _by_id(rows)
+        for rid in bad:
+            assert got[rid]["status"] == "rejected", (rid, got[rid])
+            assert got[rid]["reject"] == REJECT_INVALID, rid
+        assert got["ok"]["status"] == "completed"
+        assert gw.stats["accepted"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.graph import graph_digest
 from repro.graph.build import from_edges
 from repro.obs.ledger import (
     LEDGER_SCHEMA,
     Ledger,
-    graph_digest,
     is_enabled,
     make_record,
     provenance,
